@@ -4,6 +4,23 @@
 
 namespace gpumip {
 
+namespace {
+
+/// Copies the engine's answer into the report; each solve branch adds the
+/// accounting fields only it has.
+void copy_result(const mip::MipResult& result, SolveReport& report) {
+  report.status = result.status;
+  report.has_solution = result.has_solution;
+  report.objective = result.objective;
+  report.bound = result.bound;
+  report.gap = result.gap();
+  report.stats = result.stats;
+  report.anatomy = result.stats.anatomy;
+  if (result.has_solution) report.x = result.x;
+}
+
+}  // namespace
+
 const char* version() noexcept { return "gpumip 1.0.0"; }
 
 Solver::Solver(SolverOptions options) : options_(std::move(options)) {}
@@ -35,12 +52,7 @@ SolveReport Solver::solve(const mip::MipModel& model) const {
   }
 
   // ---- LP code-path decision (paper section 5.4) ----
-  const sparse::Csr matrix = working->lp().matrix();
-  switch (options_.lp_backend) {
-    case LpBackend::Auto: report.lp_path = lp::choose_path(matrix); break;
-    case LpBackend::DenseGpu: report.lp_path = lp::CodePath::DenseGpu; break;
-    case LpBackend::SparseHybrid: report.lp_path = lp::CodePath::SparseHybrid; break;
-  }
+  report.lp_path = lp::choose_path(working->lp().matrix());
 
   // ---- solve ----
   if (options_.workers > 0) {
@@ -48,14 +60,9 @@ SolveReport Solver::solve(const mip::MipModel& model) const {
     sup.workers = options_.workers;
     sup.mip = options_.mip;
     parallel::SupervisorResult sr = parallel::solve_supervised(*working, sup);
+    copy_result(sr.result, report);
     report.parallel_makespan = sr.makespan;
     report.worker_nodes = sr.worker_nodes;
-    report.status = sr.result.status;
-    report.has_solution = sr.result.has_solution;
-    report.objective = sr.result.objective;
-    report.bound = sr.result.bound;
-    report.stats = sr.result.stats;
-    if (report.has_solution) report.x = sr.result.x;
   } else {
     parallel::StrategyConfig cfg;
     cfg.device = options_.device;
@@ -63,13 +70,7 @@ SolveReport Solver::solve(const mip::MipModel& model) const {
     cfg.mip = options_.mip;
     cfg.cpu = options_.cpu;
     parallel::StrategyReport sr = parallel::run_strategy(options_.strategy, *working, cfg);
-    report.status = sr.result.status;
-    report.has_solution = sr.result.has_solution;
-    report.objective = sr.result.objective;
-    report.bound = sr.result.bound;
-    report.gap = sr.result.gap();
-    report.stats = sr.result.stats;
-    report.anatomy = sr.result.stats.anatomy;
+    copy_result(sr.result, report);
     report.sim_seconds = sr.sim_seconds;
     report.device_seconds = sr.device_seconds;
     report.host_seconds = sr.host_seconds;
@@ -77,7 +78,6 @@ SolveReport Solver::solve(const mip::MipModel& model) const {
     report.device_peak_bytes = sr.device_peak_bytes;
     report.strategy_completed = sr.completed;
     report.strategy_failure = sr.failure;
-    if (report.has_solution) report.x = sr.result.x;
   }
 
   // ---- postsolve ----

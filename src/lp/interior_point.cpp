@@ -7,7 +7,6 @@
 #include "linalg/cholesky.hpp"
 #include "obs/obs.hpp"
 #include "sparse/ops.hpp"
-#include "sparse/sparse_cholesky.hpp"
 
 namespace gpumip::lp {
 
@@ -120,50 +119,15 @@ double inf_norm(std::span<const double> v) {
   return worst;
 }
 
-/// Solves (A diag(d) Aᵀ + ridge I) out = rhs. Dense or sparse Cholesky by
-/// `dense` flag. Throws NumericalError when hopeless.
+/// Solves (A diag(d) Aᵀ + ridge I) out = rhs by dense Cholesky (the
+/// m³/3 kernel lp::charge_to_device prices). Throws NumericalError when
+/// hopeless.
 linalg::Vector solve_normal_equations(const NonnegForm& nf, const linalg::Vector& d,
-                                      const linalg::Vector& rhs, bool dense, LpOpStats& ops,
+                                      const linalg::Vector& rhs, LpOpStats& ops,
                                       const linalg::Vector* rhs2, linalg::Vector* out2) {
   const int m = nf.a.rows;
-  // A D Aᵀ is PD whenever A has full row rank (every row owns a slack), so
-  // start unregularized; escalate the ridge only on an actual breakdown. A
-  // ridge scaled to max |M| would swamp the small d_j entries near
-  // convergence and stall the iteration.
-  if (dense) {
-    linalg::Matrix mmat(m, m);
-    // M = Σ_j d_j a_j a_jᵀ via the column view.
-    for (int j = 0; j < nf.a.cols; ++j) {
-      const auto& a = nf.a_cols;
-      const double dj = d[static_cast<std::size_t>(j)];
-      if (dj == 0.0) continue;
-      for (int e1 = a.col_start[static_cast<std::size_t>(j)];
-           e1 < a.col_start[static_cast<std::size_t>(j) + 1]; ++e1) {
-        const int r1 = a.row_index[static_cast<std::size_t>(e1)];
-        const double v1 = dj * a.values[static_cast<std::size_t>(e1)];
-        for (int e2 = a.col_start[static_cast<std::size_t>(j)];
-             e2 < a.col_start[static_cast<std::size_t>(j) + 1]; ++e2) {
-          mmat(r1, a.row_index[static_cast<std::size_t>(e2)]) +=
-              v1 * a.values[static_cast<std::size_t>(e2)];
-        }
-      }
-    }
-    double ridge = 0.0;
-    for (int attempt = 0; attempt < 5; ++attempt) {
-      try {
-        linalg::DenseCholesky chol(mmat, ridge);
-        ++ops.cholesky;
-        if (rhs2 != nullptr && out2 != nullptr) *out2 = chol.solve(*rhs2);
-        return chol.solve(rhs);
-      } catch (const NumericalError&) {
-        ridge = ridge == 0.0 ? 1e-12 * (1.0 + inf_norm({mmat.data(), mmat.size()}))
-                             : ridge * 1e4;
-      }
-    }
-    throw NumericalError("interior point: dense normal equations not PD");
-  }
-  // Sparse path.
-  std::vector<sparse::Triplet> triplets;
+  linalg::Matrix mmat(m, m);
+  // M = Σ_j d_j a_j a_jᵀ via the column view.
   for (int j = 0; j < nf.a.cols; ++j) {
     const auto& a = nf.a_cols;
     const double dj = d[static_cast<std::size_t>(j)];
@@ -174,29 +138,28 @@ linalg::Vector solve_normal_equations(const NonnegForm& nf, const linalg::Vector
       const double v1 = dj * a.values[static_cast<std::size_t>(e1)];
       for (int e2 = a.col_start[static_cast<std::size_t>(j)];
            e2 < a.col_start[static_cast<std::size_t>(j) + 1]; ++e2) {
-        triplets.push_back({r1, a.row_index[static_cast<std::size_t>(e2)],
-                            v1 * a.values[static_cast<std::size_t>(e2)]});
+        mmat(r1, a.row_index[static_cast<std::size_t>(e2)]) +=
+            v1 * a.values[static_cast<std::size_t>(e2)];
       }
     }
   }
-  double max_entry = 0.0;
-  for (const auto& t : triplets) max_entry = std::max(max_entry, std::fabs(t.value));
+  // A D Aᵀ is PD whenever A has full row rank (every row owns a slack), so
+  // start unregularized; escalate the ridge only on an actual breakdown. A
+  // ridge scaled to max |M| would swamp the small d_j entries near
+  // convergence and stall the iteration.
   double ridge = 0.0;
   for (int attempt = 0; attempt < 5; ++attempt) {
     try {
-      std::vector<sparse::Triplet> with_ridge = triplets;
-      if (ridge > 0.0) {
-        for (int i = 0; i < m; ++i) with_ridge.push_back({i, i, ridge});
-      }
-      sparse::SparseCholesky chol(sparse::csc_from_triplets(m, m, with_ridge));
+      linalg::DenseCholesky chol(mmat, ridge);
       ++ops.cholesky;
       if (rhs2 != nullptr && out2 != nullptr) *out2 = chol.solve(*rhs2);
       return chol.solve(rhs);
     } catch (const NumericalError&) {
-      ridge = ridge == 0.0 ? 1e-12 * (1.0 + max_entry) : ridge * 1e4;
+      ridge = ridge == 0.0 ? 1e-12 * (1.0 + inf_norm({mmat.data(), mmat.size()}))
+                           : ridge * 1e4;
     }
   }
-  throw NumericalError("interior point: sparse normal equations not PD");
+  throw NumericalError("interior point: dense normal equations not PD");
 }
 
 }  // namespace
@@ -215,9 +178,6 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
   result.ops.m = m;
   result.ops.n = n;
   result.ops.nnz = nf.a.nnz();
-
-  const bool dense = options_.force_dense ||
-                     (!options_.force_sparse && nf.a.density() >= options_.dense_threshold);
 
   auto matvec = [&](const linalg::Vector& x) {  // A x
     linalg::Vector y(static_cast<std::size_t>(m), 0.0);
@@ -241,7 +201,7 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
     const linalg::Vector ac = matvec(nf.c);
     linalg::Vector yhat;
     const linalg::Vector xb =
-        solve_normal_equations(nf, ones_d, nf.b, dense, result.ops, &ac, &yhat);
+        solve_normal_equations(nf, ones_d, nf.b, result.ops, &ac, &yhat);
     linalg::Vector xhat = matvec_t(xb);
     linalg::Vector shat = nf.c;
     const linalg::Vector aty = matvec_t(yhat);
@@ -367,7 +327,7 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
       }
       const linalg::Vector rhs_aff = assemble_rhs(rmu_aff);
       linalg::Vector dy_aff =
-          solve_normal_equations(nf, d, rhs_aff, dense, result.ops, nullptr, nullptr);
+          solve_normal_equations(nf, d, rhs_aff, result.ops, nullptr, nullptr);
       linalg::Vector dx_aff, ds_aff;
       recover_steps(dy_aff, rmu_aff, dx_aff, ds_aff);
       const double ap_aff = step_length(x, dx_aff);
@@ -387,7 +347,7 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
         rmu[k] = -x[k] * s[k] + sigma * mu - dx_aff[k] * ds_aff[k];
       }
       const linalg::Vector rhs = assemble_rhs(rmu);
-      linalg::Vector dy = solve_normal_equations(nf, d, rhs, dense, result.ops, nullptr, nullptr);
+      linalg::Vector dy = solve_normal_equations(nf, d, rhs, result.ops, nullptr, nullptr);
       linalg::Vector dx, ds;
       recover_steps(dy, rmu, dx, ds);
       const double ap = step_length(x, dx);

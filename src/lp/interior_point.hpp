@@ -1,10 +1,11 @@
 // Primal-dual interior-point LP solver (Mehrotra predictor-corrector).
 //
 // The paper (section 2.3) notes interior-point methods are the preferred
-// family for sparse real-world LPs; the normal-equations system A D Aᵀ is
-// factorized by Cholesky each iteration — dense Cholesky on the GPU path,
-// sparse Cholesky (with fill-reducing ordering) on the hybrid/CPU path.
-// Experiment E9 compares this engine against the simplex.
+// family for sparse real-world LPs. The normal-equations system A D Aᵀ is
+// factorized by dense Cholesky each iteration on either code path; the
+// device model prices each factorization as the dense m³/3 kernel
+// (lp::charge_to_device). Experiment E9 compares this engine against the
+// simplex.
 #pragma once
 
 #include "lp/result.hpp"
@@ -16,10 +17,6 @@ struct InteriorPointOptions {
   double tol = 1e-8;          ///< relative residual + duality-gap target
   int max_iterations = 100;
   double step_scale = 0.9995; ///< fraction-to-boundary
-  /// Density of A D Aᵀ above which the dense Cholesky path is used.
-  double dense_threshold = 0.2;
-  bool force_dense = false;
-  bool force_sparse = false;
 };
 
 class InteriorPointSolver {

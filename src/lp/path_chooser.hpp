@@ -7,7 +7,15 @@
 //      lives in docs/METHODS.md; it keys on warm-start availability, batch
 //      occupancy, matrix density, and size.
 //   2. choose_path(): WHERE the chosen method's linear algebra runs
-//      (dense-GPU kernels vs sparse-hybrid).
+//      (dense-GPU kernels vs sparse-hybrid). This is the one dense/sparse
+//      decision; the facade reports it as SolveReport::lp_path. The LP
+//      engines themselves factor densely (simplex B⁻¹, IPM Cholesky of
+//      A D Aᵀ), and lp::charge_to_device prices those factorizations as
+//      dense kernels on either path.
+//
+// The thresholds both decisions key on are named constants, each next to
+// the measurement that set it: kDensePathDensity below (bench E6 prints
+// it), the rest in path_chooser.cpp.
 //
 // Every choose_method() decision is exported as gpumip.lp.method.* counters
 // and a gpumip.lp.method.choice trace instant so bench_e9_methods can show
@@ -27,18 +35,16 @@ enum class CodePath {
 
 const char* code_path_name(CodePath path) noexcept;
 
-struct PathChooserOptions {
-  /// Below this density the sparse path wins on the device model. The
-  /// default matches the measured crossover of the cost model (bench E6):
-  /// the sparse kernel's efficiency/divergence penalty (~3.3x per nonzero
-  /// vs the bandwidth-bound dense kernel) puts the break-even near 30%.
-  double density_threshold = 0.30;
-  /// Matrices smaller than this are always dense (latency dominates).
-  int small_dimension = 64;
-};
+/// Density at and above which choose_path() picks the dense path. It
+/// matches the measured crossover of the cost model (bench E6): the sparse
+/// kernel's efficiency/divergence penalty (~3.3x per nonzero vs the
+/// bandwidth-bound dense kernel) puts the break-even near 30%.
+inline constexpr double kDensePathDensity = 0.30;
 
-/// Decides the code path for a constraint matrix.
-CodePath choose_path(const sparse::Csr& a, const PathChooserOptions& options = {});
+/// Decides the code path for a constraint matrix: dense when either
+/// dimension is at most 64 (latency dominates) or the density is at least
+/// kDensePathDensity, sparse otherwise.
+CodePath choose_path(const sparse::Csr& a);
 
 // ---- three-way LP method selection -----------------------------------------
 
@@ -67,42 +73,18 @@ struct MethodContext {
   std::optional<LpMethod> forced;
 };
 
-struct MethodChoiceOptions {
-  /// PDHG is only competitive when its per-wave nnz traffic undercuts the
-  /// competition; above this density the SpMV advantage is gone.
-  double pdhg_density_max = 0.05;
-  /// Sequential PDHG pays thousands of kernel launches, so a cold
-  /// single-instance solve only prefers it at the scale where IPM's dense
-  /// factorization stops fitting/paying (bench_e9_methods E9-a: IPM wins
-  /// every cold sequential cell up to hundreds of rows).
-  int pdhg_min_rows = 4096;
-  /// Batched lockstep amortizes launches across the batch; with at least
-  /// this many instances in flight PDHG's bar drops to pdhg_batched_min_rows.
-  int batch_occupancy_min = 16;
-  int pdhg_batched_min_rows = 48;
-  /// Above this row count a cold solve prefers interior point: ~10 heavy
-  /// Cholesky iterations launch two orders of magnitude fewer kernels than
-  /// the pivot-by-pivot simplex, and the crossover arrives early
-  /// (bench_e9_methods E9-a). Tiny instances stay on simplex, whose warm
-  /// restarts dominate real branch-and-bound work anyway.
-  int ipm_min_rows = 48;
-  /// Accuracy below which first-order methods are ruled out entirely.
-  double pdhg_tol_min = 1e-8;
-};
-
 /// Decides which LP method solves an instance of matrix `a` under `ctx`.
 /// Decision table (docs/METHODS.md, "Choosing a method"):
 ///   1. GPUMIP_LP_METHOD env var ("simplex"/"interior_point"/"pdhg") wins,
 ///      then a ctx.forced programmatic pin; both are counted as forced.
 ///   2. warm basis -> Simplex (dual simplex reuse beats everything).
-///   3. batched (>= batch_occupancy_min) and sparse and not tiny -> Pdhg.
-///   4. large and sparse (>= pdhg_min_rows, <= pdhg_density_max) -> Pdhg
-///      (warm iterates lower the size bar to pdhg_batched_min_rows).
-///   5. large (>= ipm_min_rows) -> InteriorPoint.
+///   3. batched (>= 16 instances), density <= 0.05 and >= 48 rows -> Pdhg.
+///   4. density <= 0.05 and >= 4096 rows -> Pdhg (warm iterates lower the
+///      size bar to 48 rows).
+///   5. >= 48 rows -> InteriorPoint.
 ///   6. otherwise -> Simplex.
-/// Tolerances tighter than pdhg_tol_min disqualify Pdhg at steps 3-4.
-LpMethod choose_method(const sparse::Csr& a, const MethodContext& ctx,
-                       const MethodChoiceOptions& options = {});
+/// Tolerances below 1e-8 disqualify Pdhg at steps 3-4.
+LpMethod choose_method(const sparse::Csr& a, const MethodContext& ctx);
 
 /// The GPUMIP_LP_METHOD override if set to a valid method name.
 std::optional<LpMethod> lp_method_override();

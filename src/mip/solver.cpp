@@ -216,8 +216,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     method_ctx.batch_size = 1;
     method_ctx.tol = options_.pdhg.tol;
     method_ctx.forced = options_.lp_method;
-    const lp::LpMethod method =
-        lp::choose_method(form_->a_rows, method_ctx, options_.method_choice);
+    const lp::LpMethod method = lp::choose_method(form_->a_rows, method_ctx);
     // Device-residency modeling (ROADMAP item 4): charge this node's
     // relaxation footprint before solving. With an arena the reset+allot
     // pair reuses the warm slab (zero Device::alloc calls in steady

@@ -58,7 +58,6 @@ struct MipOptions {
   std::optional<lp::LpMethod> lp_method;
   lp::InteriorPointOptions ipm;
   lp::PdhgOptions pdhg;
-  lp::MethodChoiceOptions method_choice;
   /// Emit a consistent snapshot every N evaluated nodes (0 = never).
   int snapshot_interval = 0;
   std::function<void(const ConsistentSnapshot&)> on_snapshot;

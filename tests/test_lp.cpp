@@ -6,7 +6,6 @@
 #include "lp/model.hpp"
 #include "lp/path_chooser.hpp"
 #include "lp/presolve.hpp"
-#include "lp/scaling.hpp"
 #include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
 #include "sparse/ops.hpp"
@@ -337,7 +336,9 @@ TEST(InteriorPoint, HandlesFreeVariablesAndEqualities) {
   EXPECT_NEAR(ipm_r.objective, simplex_r.objective, 1e-5);
 }
 
-TEST(InteriorPoint, DenseAndSparsePathsAgree) {
+TEST(InteriorPoint, BoundedLpMatchesDualSimplex) {
+  // Every column has ub = 4, so the IPM runs with one upper-bound row per
+  // column (RandomLpAgreement only covers ub = inf).
   Rng rng(303);
   LpModel m;
   const int n = 20, rows = 14;
@@ -351,15 +352,17 @@ TEST(InteriorPoint, DenseAndSparsePathsAgree) {
     m.add_row_le(terms, rng.uniform(3.0, 9.0));
   }
   const StandardForm form = build_standard_form(m);
-  InteriorPointOptions dense_opts;
-  dense_opts.force_dense = true;
-  InteriorPointOptions sparse_opts;
-  sparse_opts.force_sparse = true;
-  LpResult rd = InteriorPointSolver(form, dense_opts).solve_default();
-  LpResult rs = InteriorPointSolver(form, sparse_opts).solve_default();
+  // Dual simplex: optimal basis under ub = 8, then tightened back to ub = 4.
+  SimplexSolver simplex(form);
+  Vector loose_ub = form.ub;
+  for (int j = 0; j < n; ++j) loose_ub[static_cast<std::size_t>(j)] = 8.0;
+  LpResult loose = simplex.solve(form.lb, loose_ub);
+  ASSERT_EQ(loose.status, LpStatus::Optimal);
+  LpResult rd = simplex.resolve_dual(form.lb, form.ub, loose.basis);
+  LpResult ri = InteriorPointSolver(form).solve_default();
   ASSERT_EQ(rd.status, LpStatus::Optimal);
-  ASSERT_EQ(rs.status, LpStatus::Optimal);
-  EXPECT_NEAR(rd.objective, rs.objective, 1e-5);
+  ASSERT_EQ(ri.status, LpStatus::Optimal);
+  EXPECT_NEAR(ri.objective, rd.objective, 1e-5);
 }
 
 // ---------- property test: simplex vs IPM on random LPs ----------
@@ -505,27 +508,14 @@ TEST(Presolve, PreservesOptimum) {
   EXPECT_NEAR(m.objective_value(full), direct.objective, 1e-6);
 }
 
-// ---------- scaling ----------
-
-TEST(Scaling, ReducesSpreadAndPreservesOptimum) {
-  LpModel m;
-  m.set_sense(Sense::Maximize);
-  const int x = m.add_col(3.0), y = m.add_col(5.0);
-  m.add_row_le({{x, 1e-3}}, 4e-3);
-  m.add_row_le({{y, 2e3}}, 12e3);
-  m.add_row_le({{x, 3.0}, {y, 2.0}}, 18.0);
-  const double spread_before = coefficient_spread(m);
-  ScalingResult sr = geometric_scaling(m);
-  EXPECT_LT(coefficient_spread(sr.scaled), spread_before);
-  const StandardForm form_scaled = build_standard_form(sr.scaled);
-  LpResult r = SimplexSolver(form_scaled).solve_default();
-  ASSERT_EQ(r.status, LpStatus::Optimal);
-  Vector orig = sr.unscale_solution(std::span<const double>(r.x.data(), 2));
-  EXPECT_NEAR(orig[0], 2.0, 1e-7);
-  EXPECT_NEAR(orig[1], 6.0, 1e-7);
-}
-
 // ---------- path chooser ----------
+
+/// rows x cols matrix with exactly `nnz` nonzeros spread evenly over the rows.
+sparse::Csr exact_nnz_csr(int rows, int cols, int nnz) {
+  std::vector<sparse::Triplet> t;
+  for (int k = 0; k < nnz; ++k) t.push_back({k % rows, (k / rows + k % rows) % cols, 1.0});
+  return sparse::csr_from_triplets(rows, cols, t);
+}
 
 TEST(PathChooser, RoutesByDensityAndSize) {
   Rng rng(505);
@@ -543,6 +533,14 @@ TEST(PathChooser, RoutesByDensityAndSize) {
     for (int j = 0; j < 300; j += 3) t.push_back({i, j, 1.0});
   }
   EXPECT_EQ(choose_path(sparse::csr_from_triplets(300, 300, t)), CodePath::DenseGpu);
+  // Boundaries: a dimension of 64 is still small, 65 is not; density 0.30
+  // is dense, one nonzero fewer is sparse.
+  EXPECT_EQ(choose_path(exact_nnz_csr(64, 300, 300)), CodePath::DenseGpu);
+  EXPECT_EQ(choose_path(exact_nnz_csr(300, 64, 300)), CodePath::DenseGpu);
+  EXPECT_EQ(choose_path(exact_nnz_csr(65, 300, 300)), CodePath::SparseHybrid);
+  EXPECT_EQ(choose_path(exact_nnz_csr(300, 65, 300)), CodePath::SparseHybrid);
+  EXPECT_EQ(choose_path(exact_nnz_csr(100, 100, 3000)), CodePath::DenseGpu);
+  EXPECT_EQ(choose_path(exact_nnz_csr(100, 100, 2999)), CodePath::SparseHybrid);
 }
 
 // ---------- standard form ----------

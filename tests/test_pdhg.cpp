@@ -304,6 +304,13 @@ sparse::Csr random_csr(int m, int n, double density, std::uint64_t seed) {
   return sparse::csr_from_triplets(m, n, t);
 }
 
+/// m x n matrix with exactly `nnz` nonzeros spread evenly over the rows.
+sparse::Csr exact_nnz_csr(int m, int n, int nnz) {
+  std::vector<sparse::Triplet> t;
+  for (int k = 0; k < nnz; ++k) t.push_back({k % m, (k / m + k % m) % n, 1.0});
+  return sparse::csr_from_triplets(m, n, t);
+}
+
 TEST(MethodChooser, WarmBasisAlwaysSimplex) {
   const sparse::Csr big_sparse = random_csr(512, 768, 0.01, 7);
   MethodContext ctx;
@@ -316,17 +323,21 @@ TEST(MethodChooser, ColdSmallDenseIsSimplex) {
   const sparse::Csr small_dense = random_csr(32, 48, 0.5, 8);
   MethodContext ctx;
   EXPECT_EQ(choose_method(small_dense, ctx), LpMethod::Simplex);
+  // 47 rows is one short of the interior-point bar.
+  EXPECT_EQ(choose_method(random_csr(47, 72, 0.4, 8), ctx), LpMethod::Simplex);
 }
 
 TEST(MethodChooser, ColdLargeDenseIsInteriorPoint) {
   const sparse::Csr large_dense = random_csr(256, 384, 0.4, 9);
   MethodContext ctx;
   EXPECT_EQ(choose_method(large_dense, ctx), LpMethod::InteriorPoint);
+  // 48 rows is exactly the interior-point bar.
+  EXPECT_EQ(choose_method(random_csr(48, 72, 0.4, 9), ctx), LpMethod::InteriorPoint);
 }
 
 TEST(MethodChooser, ColdHugeSparseIsPdhg) {
   // Sequential cold PDHG only pays at the scale where IPM's dense
-  // factorization stops being an option (pdhg_min_rows).
+  // factorization stops being an option (4096 rows).
   const sparse::Csr huge_sparse = random_csr(4096, 6144, 0.002, 10);
   MethodContext ctx;
   EXPECT_EQ(choose_method(huge_sparse, ctx), LpMethod::Pdhg);
@@ -341,6 +352,17 @@ TEST(MethodChooser, BatchOccupancyLowersPdhgBar) {
   MethodContext batched;
   batched.batch_size = 64;
   EXPECT_EQ(choose_method(mid_sparse, batched), LpMethod::Pdhg);
+  // Boundaries: 16 instances fill a batch, 15 do not; density 0.05 is
+  // sparse enough, one nonzero more is not; 48 rows is the batched bar.
+  batched.batch_size = 16;
+  EXPECT_EQ(choose_method(mid_sparse, batched), LpMethod::Pdhg);
+  batched.batch_size = 15;
+  EXPECT_NE(choose_method(mid_sparse, batched), LpMethod::Pdhg);
+  batched.batch_size = 64;
+  EXPECT_EQ(choose_method(exact_nnz_csr(100, 100, 500), batched), LpMethod::Pdhg);
+  EXPECT_EQ(choose_method(exact_nnz_csr(100, 100, 501), batched), LpMethod::InteriorPoint);
+  EXPECT_EQ(choose_method(exact_nnz_csr(48, 100, 240), batched), LpMethod::Pdhg);
+  EXPECT_EQ(choose_method(exact_nnz_csr(47, 100, 235), batched), LpMethod::Simplex);
 }
 
 TEST(MethodChooser, WarmIteratesLowerPdhgSizeBar) {
@@ -357,7 +379,11 @@ TEST(MethodChooser, TightToleranceDisqualifiesPdhg) {
   MethodContext ctx;
   ctx.batch_size = 64;  // a context that would otherwise pick PDHG
   ASSERT_EQ(choose_method(large_sparse, ctx), LpMethod::Pdhg);
+  ctx.tol = 1e-8;  // the tightest tolerance PDHG still accepts
+  EXPECT_EQ(choose_method(large_sparse, ctx), LpMethod::Pdhg);
   ctx.tol = 1e-10;  // tighter than first-order methods can certify
+  EXPECT_NE(choose_method(large_sparse, ctx), LpMethod::Pdhg);
+  ctx.tol = std::nextafter(1e-8, 0.0);
   EXPECT_NE(choose_method(large_sparse, ctx), LpMethod::Pdhg);
 }
 
