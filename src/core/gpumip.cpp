@@ -68,7 +68,6 @@ SolveReport Solver::solve(const mip::MipModel& model) const {
     cfg.device = options_.device;
     cfg.devices = options_.devices;
     cfg.mip = options_.mip;
-    cfg.cpu = options_.cpu;
     parallel::StrategyReport sr = parallel::run_strategy(options_.strategy, *working, cfg);
     copy_result(sr.result, report);
     report.sim_seconds = sr.sim_seconds;

@@ -40,7 +40,6 @@ struct SolverOptions {
   mip::MipOptions mip;                  ///< engine knobs (branching, cuts, ...)
   gpu::CostModelConfig device;          ///< simulated accelerator
   int devices = 1;                      ///< >1 enables S4 sharding
-  lp::CpuCostModel cpu;
   /// Scale out over a supervisor-worker fleet when workers > 0.
   int workers = 0;
   parallel::SupervisorOptions supervisor;

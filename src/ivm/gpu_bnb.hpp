@@ -28,16 +28,15 @@ struct BnbStats {
 
 struct GpuBnbOptions {
   int num_ivms = 64;         ///< IVMs resident on the device
-  long max_waves = 1000000;  ///< safety valve
-  bool use_initial_ub = true;
 };
 
-/// Explicit-node DFS on the host.
-BnbStats solve_flowshop_cpu(const FlowshopInstance& instance, bool use_initial_ub = true);
+/// Explicit-node DFS on the host. Every engine starts from the greedy
+/// sequence's makespan as the incumbent.
+BnbStats solve_flowshop_cpu(const FlowshopInstance& instance);
 
 /// IVM DFS on the host (same traversal as the GPU engine, single cursor) —
 /// isolates the data-structure effect from the parallelism effect.
-BnbStats solve_flowshop_ivm_host(const FlowshopInstance& instance, bool use_initial_ub = true);
+BnbStats solve_flowshop_ivm_host(const FlowshopInstance& instance);
 
 /// Entirely-GPU IVM engine on the simulated device.
 BnbStats solve_flowshop_gpu(const FlowshopInstance& instance, gpu::Device& device,

@@ -1,7 +1,5 @@
 #include "linalg/blas.hpp"
 
-#include <cmath>
-
 namespace gpumip::linalg {
 
 double dot(std::span<const double> x, std::span<const double> y) {
@@ -9,36 +7,6 @@ double dot(std::span<const double> x, std::span<const double> y) {
   double sum = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) sum += x[i] * y[i];
   return sum;
-}
-
-double nrm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
-
-double asum(std::span<const double> x) {
-  double sum = 0.0;
-  for (double v : x) sum += std::fabs(v);
-  return sum;
-}
-
-int iamax(std::span<const double> x) {
-  int best = -1;
-  double best_abs = -1.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double a = std::fabs(x[i]);
-    if (a > best_abs) {
-      best_abs = a;
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
-}
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  check_arg(x.size() == y.size(), "axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-void scal(double alpha, std::span<double> x) {
-  for (double& v : x) v *= alpha;
 }
 
 void gemv(double alpha, const Matrix& a, std::span<const double> x, double beta,

@@ -13,12 +13,6 @@ namespace gpumip::linalg {
 
 // ----- BLAS-1 -----
 double dot(std::span<const double> x, std::span<const double> y);
-double nrm2(std::span<const double> x);
-double asum(std::span<const double> x);
-/// index of max |x_i|; -1 for empty
-int iamax(std::span<const double> x);
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-void scal(double alpha, std::span<double> x);
 
 // ----- BLAS-2 -----
 /// y = alpha * A x + beta * y

@@ -94,26 +94,6 @@ void dev_gemv(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const D
   });
 }
 
-void dev_gemv_t(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const DeviceVector& x,
-                double beta, DeviceVector& y) {
-  check_arg(x.size() == a.rows() && y.size() == a.cols(), "dev_gemv_t: shape mismatch");
-  gpu::Device& device = same_device(a, x);
-  const std::size_t mn = static_cast<std::size_t>(a.rows()) * a.cols();
-  KernelCost cost = KernelCost::dense(2.0 * static_cast<double>(mn), static_cast<double>(mn));
-  cost.occupancy = occupancy_for_elements(mn);
-  device.launch(stream, cost, [&, alpha, beta] {
-    const double* ad = a.data();
-    auto xs = x.span();
-    auto ys = y.span();
-    for (int c = 0; c < a.cols(); ++c) {
-      const double* col = ad + static_cast<std::size_t>(c) * a.rows();
-      double sum = 0.0;
-      for (int r = 0; r < a.rows(); ++r) sum += col[r] * xs[static_cast<std::size_t>(r)];
-      ys[static_cast<std::size_t>(c)] = alpha * sum + beta * ys[static_cast<std::size_t>(c)];
-    }
-  });
-}
-
 void dev_gemm(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const DeviceMatrix& b,
               double beta, DeviceMatrix& c) {
   check_arg(a.cols() == b.rows() && c.rows() == a.rows() && c.cols() == b.cols(),

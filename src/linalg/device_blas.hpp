@@ -84,9 +84,6 @@ class DeviceVector {
 /// y = alpha A x + beta y
 void dev_gemv(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const DeviceVector& x,
               double beta, DeviceVector& y);
-/// y = alpha Aᵀ x + beta y
-void dev_gemv_t(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const DeviceVector& x,
-                double beta, DeviceVector& y);
 /// C = alpha A B + beta C
 void dev_gemm(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const DeviceMatrix& b,
               double beta, DeviceMatrix& c);

@@ -85,11 +85,4 @@ Matrix DenseLU::inverse() const {
   return inv;
 }
 
-double DenseLU::log_abs_det() const {
-  check_arg(valid(), "DenseLU::log_abs_det on empty factorization");
-  double sum = 0.0;
-  for (int i = 0; i < order(); ++i) sum += std::log(std::fabs(lu_(i, i)));
-  return sum;
-}
-
 }  // namespace gpumip::linalg

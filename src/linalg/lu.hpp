@@ -32,9 +32,6 @@ class DenseLU {
   /// paper's GPU narrative keeps B⁻¹ as a dense device-resident matrix).
   Matrix inverse() const;
 
-  /// |det A| growth proxy: product of |pivots| (log-scale safe).
-  double log_abs_det() const;
-
   /// Packed LU factors (L unit-lower in strict lower triangle, U upper).
   const Matrix& packed() const noexcept { return lu_; }
   const std::vector<int>& pivots() const noexcept { return pivots_; }

@@ -12,6 +12,10 @@ namespace gpumip::lp {
 
 namespace {
 
+/// Fraction-to-boundary: a step stops this fraction of the way to the
+/// nearest bound.
+constexpr double kStepScale = 0.9995;
+
 /// How each original variable maps into the nonnegative-form columns.
 struct VarMap {
   enum class Kind { Shifted, Mirrored, Split } kind = Kind::Shifted;
@@ -310,12 +314,12 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
       }
     };
     auto step_length = [&](const linalg::Vector& v, const linalg::Vector& dv) {
-      double alpha = 1.0 / options_.step_scale;
+      double alpha = 1.0 / kStepScale;
       for (int j = 0; j < n; ++j) {
         const std::size_t k = static_cast<std::size_t>(j);
         if (dv[k] < 0.0) alpha = std::min(alpha, -v[k] / dv[k]);
       }
-      return std::min(1.0, options_.step_scale * alpha);
+      return std::min(1.0, kStepScale * alpha);
     };
 
     try {

@@ -16,7 +16,6 @@ namespace gpumip::lp {
 struct InteriorPointOptions {
   double tol = 1e-8;          ///< relative residual + duality-gap target
   int max_iterations = 100;
-  double step_scale = 0.9995; ///< fraction-to-boundary
 };
 
 class InteriorPointSolver {

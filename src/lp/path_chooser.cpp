@@ -1,8 +1,6 @@
 #include "lp/path_chooser.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -60,16 +58,6 @@ const char* lp_method_name(LpMethod method) noexcept {
   return "unknown";
 }
 
-std::optional<LpMethod> lp_method_override() {
-  const char* raw = std::getenv("GPUMIP_LP_METHOD");
-  if (raw == nullptr) return std::nullopt;
-  const std::string_view name(raw);
-  if (name == "simplex") return LpMethod::Simplex;
-  if (name == "interior_point") return LpMethod::InteriorPoint;
-  if (name == "pdhg") return LpMethod::Pdhg;
-  return std::nullopt;
-}
-
 namespace {
 
 void record_choice(LpMethod method, bool forced) {
@@ -95,10 +83,6 @@ void record_choice(LpMethod method, bool forced) {
 }  // namespace
 
 LpMethod choose_method(const sparse::Csr& a, const MethodContext& ctx) {
-  if (const auto forced = lp_method_override()) {
-    record_choice(*forced, /*forced=*/true);
-    return *forced;
-  }
   if (ctx.forced) {
     record_choice(*ctx.forced, /*forced=*/true);
     return *ctx.forced;

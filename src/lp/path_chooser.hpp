@@ -54,9 +54,9 @@ enum class LpMethod {
   Pdhg,           ///< restarted PDHG: matrix-free, batches into lockstep waves
 };
 
-/// Stable lowercase names ("simplex", "interior_point", "pdhg") — the values
-/// of GPUMIP_LP_METHOD and the vocabulary of docs/METHODS.md (check.sh's
-/// methods-doc gate asserts every name below appears there).
+/// Stable lowercase names ("simplex", "interior_point", "pdhg") — the
+/// vocabulary of docs/METHODS.md (check.sh's methods-doc gate asserts every
+/// name below appears there).
 const char* lp_method_name(LpMethod method) noexcept;
 
 /// Per-solve facts the decision keys on, beyond the matrix itself.
@@ -69,14 +69,12 @@ struct MethodContext {
   /// choose_method instead of branching at the caller keeps the
   /// every-decision-is-recorded contract: the pin still emits the
   /// gpumip.lp.method.* counters (as forced) and the choice trace instant.
-  /// GPUMIP_LP_METHOD outranks it.
   std::optional<LpMethod> forced;
 };
 
 /// Decides which LP method solves an instance of matrix `a` under `ctx`.
 /// Decision table (docs/METHODS.md, "Choosing a method"):
-///   1. GPUMIP_LP_METHOD env var ("simplex"/"interior_point"/"pdhg") wins,
-///      then a ctx.forced programmatic pin; both are counted as forced.
+///   1. a ctx.forced pin wins; it is counted as forced.
 ///   2. warm basis -> Simplex (dual simplex reuse beats everything).
 ///   3. batched (>= 16 instances), density <= 0.05 and >= 48 rows -> Pdhg.
 ///   4. density <= 0.05 and >= 4096 rows -> Pdhg (warm iterates lower the
@@ -85,8 +83,5 @@ struct MethodContext {
 ///   6. otherwise -> Simplex.
 /// Tolerances below 1e-8 disqualify Pdhg at steps 3-4.
 LpMethod choose_method(const sparse::Csr& a, const MethodContext& ctx);
-
-/// The GPUMIP_LP_METHOD override if set to a valid method name.
-std::optional<LpMethod> lp_method_override();
 
 }  // namespace gpumip::lp

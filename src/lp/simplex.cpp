@@ -88,6 +88,9 @@ void SimplexSolver::init_workspace(Workspace& ws, std::span<const double> lb,
 
 namespace {
 
+/// Smallest acceptable pivot magnitude.
+constexpr double kPivotTol = 1e-9;
+
 /// Nonbasic resting value for a variable given its status and bounds.
 double nonbasic_value(VarStatus status, double lb, double ub) {
   switch (status) {
@@ -343,7 +346,7 @@ SimplexSolver::PhaseResult SimplexSolver::primal_loop(Workspace& ws,
     double leaving_pivot = 0.0;
     for (int i = 0; i < ws.m; ++i) {
       const double dx = -sigma * w[static_cast<std::size_t>(i)];
-      if (std::fabs(dx) <= options_.pivot_tol) continue;
+      if (std::fabs(dx) <= kPivotTol) continue;
       const int bv = ws.basic[static_cast<std::size_t>(i)];
       const std::size_t bk = static_cast<std::size_t>(bv);
       double t_i;
@@ -610,7 +613,7 @@ LpResult SimplexSolver::resolve_dual(std::span<const double> lb, std::span<const
       const std::size_t k = static_cast<std::size_t>(v);
       if (ws.status[k] == VarStatus::Basic || ws.lb[k] == ws.ub[k]) continue;
       const double alpha = sparse::column_dot(form_->a_cols, v, rho);
-      if (std::fabs(alpha) <= options_.pivot_tol) continue;
+      if (std::fabs(alpha) <= kPivotTol) continue;
       bool admissible;
       if (increase) {
         admissible = (ws.status[k] == VarStatus::AtLower && alpha < 0.0) ||
@@ -635,7 +638,7 @@ LpResult SimplexSolver::resolve_dual(std::span<const double> lb, std::span<const
 
     const linalg::Vector& w = ftran_column(ws, entering);
     const double pivot = w[static_cast<std::size_t>(row)];
-    if (std::fabs(pivot) <= options_.pivot_tol) {
+    if (std::fabs(pivot) <= kPivotTol) {
       // Numerically inconsistent with the rho-based alpha; refactorize and
       // retry from a clean representation (bounded number of attempts).
       if (++consecutive_pivot_failures > 3) return finish(ws, LpStatus::NumericalTrouble);

@@ -13,6 +13,17 @@
 
 namespace gpumip::mip {
 
+namespace {
+
+/// Relative optimality gap at which the search stops.
+constexpr double kGapTol = 1e-9;
+/// Integrality tolerance for node LP points and the root heuristics.
+constexpr double kIntTol = 1e-6;
+/// Root cut-and-branch rounds.
+constexpr int kCutRounds = 3;
+
+}  // namespace
+
 const char* mip_status_name(MipStatus status) noexcept {
   switch (status) {
     case MipStatus::Optimal: return "Optimal";
@@ -46,7 +57,7 @@ void BnbSolver::root_cut_loop() {
   // fixed matrix (the per-node cut round-trip costs are studied separately
   // in experiment E4).
   CutPool pool;
-  for (int round = 0; round < options_.cut_rounds; ++round) {
+  for (int round = 0; round < kCutRounds; ++round) {
     // Each round is a traced span: its duration IS the device→host→device
     // round-trip latency the paper's C4 tension is about (gpumip-trace
     // aggregates these into the cut-latency report).
@@ -56,7 +67,7 @@ void BnbSolver::root_cut_loop() {
     lp::LpResult root = lp_solver_->solve_default();
     stats_.total_ops.add(root.ops);
     stats_.lp_iterations += root.iterations;
-    if (root.status != lp::LpStatus::Optimal || model_.is_integral(root.x, options_.int_tol)) {
+    if (root.status != lp::LpStatus::Optimal || model_.is_integral(root.x, kIntTol)) {
       return;
     }
 
@@ -127,7 +138,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
   // separator needs a basis, which the basis-free methods cannot supply.
   ipm_solver_ = std::make_unique<lp::InteriorPointSolver>(*form_, options_.ipm);
   pdhg_solver_ = std::make_unique<lp::PdhgSolver>(*form_, options_.pdhg);
-  pool_ = std::make_unique<NodePool>(options_.node_selection, options_.locality_slack);
+  pool_ = std::make_unique<NodePool>(options_.node_selection);
   pseudocosts_.init(form_->num_vars, form_->c);
 
 
@@ -191,7 +202,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     if (incumbent_obj_ < 1e299) {
       const double best_bound = pool_->best_active_bound();
       if ((incumbent_obj_ - best_bound) / (1.0 + std::fabs(incumbent_obj_)) <=
-          options_.gap_tol) {
+          kGapTol) {
         pool_->prune_worse_than(-1e300 + 1.0);  // everything left is within gap
         break;
       }
@@ -208,8 +219,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     }
 
     // Evaluate: the three-way method policy of docs/METHODS.md picks the
-    // relaxation backend per node (options_.lp_method forces one;
-    // GPUMIP_LP_METHOD overrides both).
+    // relaxation backend per node (options_.lp_method pins one).
     lp::MethodContext method_ctx;
     method_ctx.warm_basis = !node.warm_basis.empty();
     method_ctx.warm_iterates = !node.warm_x.empty() || !node.warm_y.empty();
@@ -317,7 +327,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
       continue;
     }
 
-    if (model_.is_integral(lp_result.x, options_.int_tol)) {
+    if (model_.is_integral(lp_result.x, kIntTol)) {
       pool_->set_state(id, NodeState::FeasibleLeaf);
       try_incumbent(lp_result.objective,
                     std::span<const double>(lp_result.x.data(),
@@ -327,10 +337,10 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
 
     // Heuristics at the root.
     if (options_.enable_heuristics && node.parent < 0) {
-      HeuristicResult h = rounding_heuristic(model_, *form_, lp_result.x, options_.int_tol);
+      HeuristicResult h = rounding_heuristic(model_, *form_, lp_result.x, kIntTol);
       if (!h.found) {
         h = diving_heuristic(model_, *form_, *lp_solver_, lp_result, 2 * model_.num_cols() + 10,
-                             options_.int_tol);
+                             kIntTol);
       }
       if (h.found && try_incumbent(h.objective, h.x)) {
         ++stats_.heuristic_incumbents;
@@ -364,7 +374,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
       };
     }
     const int var = select_branch_var(options_.branching, lp_result.x, model_.integer_flags(),
-                                      options_.int_tol, &pseudocosts_, strong_probe);
+                                      kIntTol, &pseudocosts_, strong_probe);
     check_internal(var >= 0, "no fractional variable in a non-integral node");
     const double value = lp_result.x[static_cast<std::size_t>(var)];
 

@@ -42,19 +42,14 @@ const char* mip_status_name(MipStatus status) noexcept;
 
 struct MipOptions {
   long max_nodes = 200000;
-  double gap_tol = 1e-9;        ///< relative optimality gap to stop at
-  double int_tol = 1e-6;
   NodeSelection node_selection = NodeSelection::BestFirst;
-  double locality_slack = 0.1;  ///< GpuLocality policy slack
   BranchRule branching = BranchRule::MostFractional;
   bool enable_cuts = true;
-  int cut_rounds = 3;           ///< root cut-and-branch rounds
   CutOptions cuts;
   bool enable_heuristics = true;
   lp::SimplexOptions lp;
   /// Force every node relaxation onto one LP method. Unset: lp::choose_method
   /// picks per node (warm basis -> dual simplex, etc.; see docs/METHODS.md).
-  /// The GPUMIP_LP_METHOD env var overrides both.
   std::optional<lp::LpMethod> lp_method;
   lp::InteriorPointOptions ipm;
   lp::PdhgOptions pdhg;
@@ -134,7 +129,6 @@ class BnbSolver {
   const MipModel& working_model() const noexcept { return model_; }
 
  private:
-  struct Impl;
   MipResult run(const ConsistentSnapshot* snapshot);
   void root_cut_loop();
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -13,6 +11,7 @@
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace gpumip::obs {
 
@@ -245,35 +244,6 @@ std::vector<std::string> sorted_names(std::shared_mutex& mutex, const Map& map) 
   return out;  // std::map iterates in sorted order
 }
 
-/// Shortest round-trippable representation of a double, JSON-safe (no
-/// inf/nan reach this: instruments only ever hold finite values, and the
-/// exporters clamp just in case).
-std::string json_number(double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // %.17g may print "1e+06" etc. — all valid JSON numbers.
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 Counter& Registry::counter(std::string_view name) {
@@ -442,16 +412,7 @@ std::string Registry::to_json() const {
 }
 
 void Registry::export_json(const std::string& path) const {
-  const std::string body = to_json();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw Error(ErrorCode::kIoError, "metrics export: cannot open '" + path + "' for writing");
-  }
-  out << body;
-  out.flush();
-  if (!out) {
-    throw Error(ErrorCode::kIoError, "metrics export: write to '" + path + "' failed");
-  }
+  write_export(path, to_json(), "metrics export");
 }
 
 std::string export_if_requested() {

@@ -2,44 +2,18 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "obs/obs.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace gpumip::obs {
 
 namespace {
 
 thread_local Sampler* g_bound_sampler = nullptr;
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 const char* kind_name(ColumnKind kind) {
   switch (kind) {
@@ -204,16 +178,7 @@ std::string Sampler::to_json() const {
 }
 
 void Sampler::export_json(const std::string& path) const {
-  const std::string body = to_json();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw Error(ErrorCode::kIoError, "timeseries export: cannot open '" + path + "' for writing");
-  }
-  out << body;
-  out.flush();
-  if (!out) {
-    throw Error(ErrorCode::kIoError, "timeseries export: write to '" + path + "' failed");
-  }
+  write_export(path, to_json(), "timeseries export");
 }
 
 std::string Sampler::export_if_requested() const {

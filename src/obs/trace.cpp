@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
 #include "obs/metrics.hpp"
-#include "support/error.hpp"
+#include "support/strings.hpp"
 #include "support/timer.hpp"
 
 namespace gpumip::obs::trace {
@@ -132,31 +130,6 @@ void emit(EventKind kind, std::string_view name, std::uint64_t flow, std::uint64
   ev.dur = 0.0;
   ev.flow = flow;
   ev.arg = arg;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -375,16 +348,7 @@ std::string to_json() {
 }
 
 void export_json(const std::string& path) {
-  const std::string body = to_json();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw Error(ErrorCode::kIoError, "trace export: cannot open '" + path + "' for writing");
-  }
-  out << body;
-  out.flush();
-  if (!out) {
-    throw Error(ErrorCode::kIoError, "trace export: write to '" + path + "' failed");
-  }
+  write_export(path, to_json(), "trace export");
 }
 
 std::string export_if_requested() {

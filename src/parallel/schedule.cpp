@@ -97,6 +97,15 @@ const ScheduleEnv& schedule_env() {
 
 namespace detail {
 
+namespace {
+
+/// In fuzz mode, probability that try_recv reports "nothing yet" even when
+/// a matching message is queued (always legal in an asynchronous network;
+/// exercises polling loops).
+constexpr double kSpuriousTryRecv = 0.25;
+
+}  // namespace
+
 // ---- scheduler lifecycle ---------------------------------------------------
 
 void Scheduler::init(int n, const ScheduleConfig& config) {
@@ -134,11 +143,11 @@ void Scheduler::perturb(int rank) {
   for (int i = 0; i < yields; ++i) std::this_thread::yield();
 }
 
-bool Scheduler::spurious_try_recv_failure(int rank) {
+bool Scheduler::spurious_recv_miss(int rank) {
   if (!config_.fuzz || config_.replay != nullptr) return false;
   auto& rng = yield_rngs_[static_cast<std::size_t>(rank)];
   const double draw = static_cast<double>(rng() >> 11) * 0x1.0p-53;
-  return draw < config_.spurious_try_recv;
+  return draw < kSpuriousTryRecv;
 }
 
 std::size_t Scheduler::overtake(int dest, std::size_t eligible) {
@@ -269,7 +278,10 @@ bool Scheduler::header_satisfies(const MsgHeader& header, const RankState& state
 }
 
 bool Scheduler::detect_locked() {
-  if (!config_.detect_deadlock || deadlock_fired_) return false;
+  // Abort-with-dump on provable deadlock instead of hanging. The detector
+  // is purely conservative: it fires only when no blocked rank can ever be
+  // satisfied, so it is always on and costs nothing but the bookkeeping.
+  if (deadlock_fired_) return false;
   // A failed rank means a teardown abort is already in flight; survivors
   // blocked on the dead rank are its victims, not a protocol deadlock.
   for (const RankState& state : ranks_) {

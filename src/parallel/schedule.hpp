@@ -72,14 +72,6 @@ struct ScheduleConfig {
   /// Perturb delivery order (seeded) and inject yield points.
   bool fuzz = false;
   std::uint64_t seed = 0;
-  /// In fuzz mode, probability that try_recv reports "nothing yet" even
-  /// when a matching message is queued (always legal in an asynchronous
-  /// network; exercises polling loops).
-  double spurious_try_recv = 0.25;
-  /// Abort-with-dump on provable deadlock instead of hanging. The detector
-  /// is purely conservative: it fires only when no blocked rank can ever
-  /// be satisfied, so leaving it on costs nothing but the bookkeeping.
-  bool detect_deadlock = true;
   /// Replay: force each rank to consume messages in this recorded order
   /// (prefix; once a rank's trace is exhausted it runs unconstrained).
   const DeliveryTrace* replay = nullptr;
@@ -110,7 +102,7 @@ struct MsgHeader {
 /// mailbox mirrors, the delivery trace, and the fuzzing RNGs.
 ///
 /// Locking: all on_* event hooks and the detector take the internal mutex.
-/// perturb()/spurious_try_recv_failure() use a per-rank RNG touched only by
+/// perturb()/spurious_recv_miss() use a per-rank RNG touched only by
 /// the owning rank thread; overtake() uses a per-destination RNG that is
 /// only ever called under that destination's mailbox mutex.
 class Scheduler {
@@ -126,7 +118,7 @@ class Scheduler {
   /// Yield-injection point at send/recv/barrier entry (fuzz mode only).
   void perturb(int rank);
   /// Seeded spurious failure for try_recv (fuzz mode only).
-  bool spurious_try_recv_failure(int rank);
+  bool spurious_recv_miss(int rank);
   /// How many of the `eligible` reorderable tail messages the new message
   /// overtakes on insertion; uniform in [0, eligible]. Call under the
   /// destination mailbox mutex.

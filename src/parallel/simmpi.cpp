@@ -264,7 +264,7 @@ bool Comm::try_recv(Message& out, int source, int tag) {
   // An asynchronous network never guarantees arrival by any particular
   // poll, so reporting "nothing yet" despite a queued message is always a
   // legal schedule — fuzz it.
-  if (world.sched.spurious_try_recv_failure(rank_)) return false;
+  if (world.sched.spurious_recv_miss(rank_)) return false;
   const DeliveryRecord* expect = world.sched.replay_next(rank_);
   detail::Mailbox& box = *world.mailboxes[static_cast<std::size_t>(rank_)];
   {

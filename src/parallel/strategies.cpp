@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "linalg/device_blas.hpp"
+#include "parallel/simmpi.hpp"
 
 namespace gpumip::parallel {
 
@@ -24,8 +25,9 @@ std::uint64_t lp_device_footprint(const lp::StandardForm& form) {
 namespace {
 
 /// Per-node host-side tree handling cost (pop, bound bookkeeping, child
-/// creation: ~copies of the bound vectors).
-double tree_op_seconds(const lp::CpuCostModel& cpu, int num_vars) {
+/// creation: ~copies of the bound vectors) on the default host model.
+double tree_op_seconds(int num_vars) {
+  const lp::CpuCostModel cpu;
   return 6.0 * static_cast<double>(num_vars) / cpu.flops + 3.0 * cpu.per_op_overhead;
 }
 
@@ -121,7 +123,7 @@ void replay_s2_s3(const mip::BnbSolver& solver, const lp::StandardForm& form,
                                        static_cast<std::size_t>(form.num_vars));
 
     for (const mip::NodeTrace& node : solver.trace()) {
-      host += tree_op_seconds(config.cpu, form.num_vars);
+      host += tree_op_seconds(form.num_vars);
       lp::LpOpStats ops = node.ops;
       if (node.hot) {
         // Resident basis continues: skip the warm-start refactorization and
@@ -195,12 +197,13 @@ void replay_s4(const mip::BnbSolver& solver, const lp::StandardForm& form,
     // Each broadcast/gather also costs a pair of device-side kernel
     // launches (pack/unpack or NCCL-style ring step) per hop.
     const double hop_overhead = 2.0 * config.device.launch_overhead;
+    const NetworkConfig interconnect;  // device-to-device link
     const double t_bcast =
         static_cast<double>(d - 1) *
-        (config.interconnect.wire_time(m * sizeof(double)) + hop_overhead);
+        (interconnect.wire_time(m * sizeof(double)) + hop_overhead);
     const double t_gather =
         static_cast<double>(d - 1) *
-        (config.interconnect.wire_time(2 * sizeof(double)) + hop_overhead);
+        (interconnect.wire_time(2 * sizeof(double)) + hop_overhead);
     gpu::KernelCost refactor_op =
         gpu::KernelCost::dense((2.0 / 3.0 + 1.0) * mm * mm * mm, mm * mm);
     refactor_op.occupancy = basis_op.occupancy;
@@ -211,7 +214,7 @@ void replay_s4(const mip::BnbSolver& solver, const lp::StandardForm& form,
     double timeline = 0.0;
     double dev0_busy = 0.0;
     for (const mip::NodeTrace& node : solver.trace()) {
-      host += tree_op_seconds(config.cpu, form.num_vars);
+      host += tree_op_seconds(form.num_vars);
       // btran + bcast + parallel price + gather + ftran + eta update.
       const double iter_path = t_basis + t_bcast + t_price + t_gather + 2.0 * t_basis;
       const long iters = std::max<long>(node.ops.iterations, 1);

@@ -25,7 +25,6 @@
 
 #include "gpu/device.hpp"
 #include "mip/solver.hpp"
-#include "parallel/simmpi.hpp"
 
 namespace gpumip::parallel {
 
@@ -36,9 +35,7 @@ const char* strategy_name(Strategy strategy) noexcept;
 struct StrategyConfig {
   gpu::CostModelConfig device;  ///< per-device architecture
   int devices = 1;              ///< S4 shards across this many devices
-  NetworkConfig interconnect;   ///< device-to-device link (S4)
   mip::MipOptions mip;
-  lp::CpuCostModel cpu;
 };
 
 struct StrategyReport {

@@ -123,8 +123,8 @@ SupervisorResult run_supervised(const mip::MipModel& model,
   out.worker_busy.assign(static_cast<std::size_t>(options.workers), 0.0);
 
   // ---- supervisor-side ramp-up (sequential, before ranks start) ----
-  // Run the root (with cuts + heuristics per options) under a node budget,
-  // stopping once the frontier is wide enough; its snapshot seeds the pool.
+  // Run the root (with cuts + heuristics per options) under a budget of
+  // ramp_up_nodes nodes; the frontier it leaves open seeds the pool.
   mip::MipOptions ramp_opts = options.mip;
   ramp_opts.max_nodes = options.ramp_up_nodes;
   mip::BnbSolver ramp_solver(model, ramp_opts);

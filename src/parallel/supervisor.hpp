@@ -1,8 +1,8 @@
 // UG-style supervisor-worker parallel MIP solve (paper section 2.3) on the
 // simmpi runtime:
 //
-//  * ramp-up: the supervisor expands the tree breadth-style until there are
-//    enough open subproblems to feed the workers,
+//  * ramp-up: the supervisor runs the root under a budget of ramp_up_nodes
+//    nodes; the open frontier it leaves seeds the workers' pool,
 //  * dynamic load balancing: workers solve subproblems under a node budget
 //    and return their unsolved frontier to the supervisor's pool,
 //  * incumbent sharing: new incumbents propagate as cutoffs with the next
@@ -26,12 +26,11 @@ namespace gpumip::parallel {
 struct SupervisorOptions {
   int workers = 4;
   long ramp_up_nodes = 64;        ///< supervisor node budget for ramp-up
-  int target_pool_per_worker = 4; ///< ramp-up stops at workers * this open nodes
   long worker_node_budget = 500;  ///< nodes per assignment
   mip::MipOptions mip;            ///< base engine options (cuts run once, at ramp-up)
   NetworkConfig network;
   /// Schedule controls for the underlying run_ranks world (delivery-order
-  /// fuzzing, deadlock detection, trace record/replay). The supervisor
+  /// fuzzing, trace record/replay). The supervisor
   /// protocol must produce the same incumbent under every legal schedule;
   /// tests/test_schedule.cpp sweeps seeds to prove it.
   ScheduleConfig schedule;

@@ -52,10 +52,6 @@ Csr csr_from_triplets(int rows, int cols, const std::vector<Triplet>& triplets, 
   return out;
 }
 
-Csc csc_from_triplets(int rows, int cols, const std::vector<Triplet>& triplets, double drop_tol) {
-  return csr_to_csc(csr_from_triplets(rows, cols, triplets, drop_tol));
-}
-
 Csc csr_to_csc(const Csr& a) {
   Csc out;
   out.rows = a.rows;

@@ -56,10 +56,6 @@ struct Csc {
 Csr csr_from_triplets(int rows, int cols, const std::vector<Triplet>& triplets,
                       double drop_tol = 0.0);
 
-/// Builds CSC from triplets.
-Csc csc_from_triplets(int rows, int cols, const std::vector<Triplet>& triplets,
-                      double drop_tol = 0.0);
-
 Csc csr_to_csc(const Csr& a);
 Csr csc_to_csr(const Csc& a);
 

@@ -1,8 +1,5 @@
 #include "sparse/ops.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace gpumip::sparse {
 
 void spmv(double alpha, const Csr& a, std::span<const double> x, double beta,
@@ -36,16 +33,6 @@ void spmv_t(double alpha, const Csr& a, std::span<const double> x, double beta,
   }
 }
 
-void spmm(const Csr& a, const linalg::Matrix& b, linalg::Matrix& c) {
-  check_arg(a.cols == b.rows(), "spmm: inner dimension mismatch");
-  check_arg(c.rows() == a.rows && c.cols() == b.cols(), "spmm: output shape mismatch");
-  for (int j = 0; j < b.cols(); ++j) {
-    auto bj = b.col(j);
-    auto cj = c.col(j);
-    spmv(1.0, a, bj, 0.0, cj);
-  }
-}
-
 double column_dot(const Csc& a, int j, std::span<const double> x) {
   check_arg(j >= 0 && j < a.cols, "column_dot: bad column");
   check_arg(static_cast<int>(x.size()) == a.rows, "column_dot: size mismatch");
@@ -56,23 +43,6 @@ double column_dot(const Csc& a, int j, std::span<const double> x) {
            x[static_cast<std::size_t>(a.row_index[static_cast<std::size_t>(k)])];
   }
   return sum;
-}
-
-RowStats row_stats(const Csr& a) {
-  RowStats stats;
-  if (a.rows == 0) return stats;
-  double sum = 0.0, sum_sq = 0.0;
-  for (int r = 0; r < a.rows; ++r) {
-    const double len = a.row_start[static_cast<std::size_t>(r) + 1] -
-                       a.row_start[static_cast<std::size_t>(r)];
-    sum += len;
-    sum_sq += len * len;
-    stats.max = std::max(stats.max, len);
-  }
-  stats.mean = sum / a.rows;
-  const double var = std::max(0.0, sum_sq / a.rows - stats.mean * stats.mean);
-  stats.cv = stats.mean > 0 ? std::sqrt(var) / stats.mean : 0.0;
-  return stats;
 }
 
 }  // namespace gpumip::sparse

@@ -1,8 +1,12 @@
 #include "support/strings.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
+
+#include "support/error.hpp"
 
 namespace gpumip {
 
@@ -69,6 +73,44 @@ bool starts_with(const std::string& s, const std::string& prefix) {
 std::string to_upper(std::string s) {
   for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   return s;
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) v = 0.0;
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+void write_export(const std::string& path, std::string_view body, std::string_view what) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    throw Error(ErrorCode::kIoError,
+                std::string(what) + ": cannot open '" + path + "' for writing");
+  }
+  out << body;
+  out.flush();
+  if (!out) {
+    throw Error(ErrorCode::kIoError, std::string(what) + ": write to '" + path + "' failed");
+  }
 }
 
 }  // namespace gpumip

@@ -403,45 +403,34 @@ TEST(Bnb, ForcedLpMethodsAgreeWithEnumeration) {
   // on the enumeration optimum. IPM/PDHG objectives are tol-approximate, so
   // the engine pads prune comparisons (docs/METHODS.md) — agreement here is
   // the end-to-end check that the padding keeps the tree exact.
-  Rng rng(4242);
-  RandomMipConfig cfg;
-  cfg.rows = 6;
-  cfg.cols = 7;
-  cfg.density = 0.5;
-  cfg.integer_fraction = 0.7;
-  cfg.bound = 3.0;
-  MipModel m = problems::random_mip(cfg, rng);
-  MipResult exact = solve_by_enumeration(m);
-  ASSERT_EQ(exact.status, MipStatus::Optimal);
-  for (lp::LpMethod method :
-       {lp::LpMethod::Simplex, lp::LpMethod::InteriorPoint, lp::LpMethod::Pdhg}) {
-    MipOptions opts;
-    opts.lp_method = method;
-    opts.pdhg.tol = 1e-8;
-    MipResult r = solve(m, opts);
-    ASSERT_EQ(r.status, MipStatus::Optimal) << lp::lp_method_name(method);
-    EXPECT_NEAR(r.objective, exact.objective, 1e-4) << lp::lp_method_name(method);
+  struct Instance {
+    std::uint64_t seed;
+    int rows, cols;
+    double integer_fraction, bound;
+  };
+  for (const Instance& inst : {Instance{4242, 6, 7, 0.7, 3.0}, Instance{4243, 5, 6, 0.8, 2.0}}) {
+    Rng rng(inst.seed);
+    RandomMipConfig cfg;
+    cfg.rows = inst.rows;
+    cfg.cols = inst.cols;
+    cfg.density = 0.5;
+    cfg.integer_fraction = inst.integer_fraction;
+    cfg.bound = inst.bound;
+    MipModel m = problems::random_mip(cfg, rng);
+    MipResult exact = solve_by_enumeration(m);
+    ASSERT_EQ(exact.status, MipStatus::Optimal) << "seed " << inst.seed;
+    for (lp::LpMethod method :
+         {lp::LpMethod::Simplex, lp::LpMethod::InteriorPoint, lp::LpMethod::Pdhg}) {
+      MipOptions opts;
+      opts.lp_method = method;
+      opts.pdhg.tol = 1e-8;
+      MipResult r = solve(m, opts);
+      ASSERT_EQ(r.status, MipStatus::Optimal)
+          << "seed " << inst.seed << " " << lp::lp_method_name(method);
+      EXPECT_NEAR(r.objective, exact.objective, 1e-4)
+          << "seed " << inst.seed << " " << lp::lp_method_name(method);
+    }
   }
-}
-
-TEST(Bnb, EnvOverrideForcesPdhgNodes) {
-  Rng rng(4243);
-  RandomMipConfig cfg;
-  cfg.rows = 5;
-  cfg.cols = 6;
-  cfg.density = 0.5;
-  cfg.integer_fraction = 0.8;
-  cfg.bound = 2.0;
-  MipModel m = problems::random_mip(cfg, rng);
-  MipResult exact = solve_by_enumeration(m);
-  ASSERT_EQ(exact.status, MipStatus::Optimal);
-  ASSERT_EQ(::setenv("GPUMIP_LP_METHOD", "pdhg", 1), 0);
-  MipOptions opts;
-  opts.pdhg.tol = 1e-8;
-  MipResult r = solve(m, opts);
-  ::unsetenv("GPUMIP_LP_METHOD");
-  ASSERT_EQ(r.status, MipStatus::Optimal);
-  EXPECT_NEAR(r.objective, exact.objective, 1e-4);
 }
 
 TEST(Cuts, CoverCutsOnKnapsack) {
@@ -533,16 +522,6 @@ TEST(Heuristics, DivingProducesFeasiblePoint) {
   ASSERT_TRUE(h.found);
   EXPECT_TRUE(m.is_feasible(h.x));
   EXPECT_TRUE(m.is_integral(h.x));
-}
-
-TEST(Heuristics, FeasibilityPumpOnSetCover) {
-  Rng rng(121);
-  MipModel m = problems::set_cover(10, 7, rng);
-  HeuristicResult h = feasibility_pump(m);
-  if (h.found) {
-    EXPECT_TRUE(m.is_feasible(h.x));
-    EXPECT_TRUE(m.is_integral(h.x));
-  }
 }
 
 TEST(Enumeration, RejectsHugeDomains) {

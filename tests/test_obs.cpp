@@ -303,6 +303,7 @@ TEST(ObsJson, ExportRoundTrip) {
   obs::counter("test.obs.json.counter").add(5);
   obs::gauge("test.obs.json.gauge").set(0.75);
   obs::histogram("test.obs.json.hist").record(8.0);
+  obs::counter("test.obs.json.esc\"q\\b\x01").add(1);
 
   const std::string json = obs::to_json();
   EXPECT_NE(json.find("\"schema\": \"gpumip.metrics.v2\""), std::string::npos);
@@ -311,6 +312,7 @@ TEST(ObsJson, ExportRoundTrip) {
   EXPECT_NE(json.find("\"test.obs.json.gauge\": 0.75"), std::string::npos);
   EXPECT_NE(json.find("\"test.obs.json.hist\""), std::string::npos);
   EXPECT_NE(json.find("\"p50\""), std::string::npos);
+  EXPECT_NE(json.find(R"("test.obs.json.esc\"q\\b\u0001": 1)"), std::string::npos);
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "gpumip_test_obs_export.json").string();

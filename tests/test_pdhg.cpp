@@ -5,13 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 
 #include "lp/model.hpp"
 #include "lp/path_chooser.hpp"
 #include "lp/pdhg.hpp"
 #include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
+#include "obs/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace gpumip::lp {
@@ -387,24 +387,40 @@ TEST(MethodChooser, TightToleranceDisqualifiesPdhg) {
   EXPECT_NE(choose_method(large_sparse, ctx), LpMethod::Pdhg);
 }
 
-TEST(MethodChooser, EnvOverrideForcesMethod) {
+TEST(MethodChooser, ForcedPinWinsAndIsCounted) {
+  // MethodContext::forced (fed by mip::MipOptions::lp_method) is the one
+  // pin: it outranks every rule of the table and is counted as forced.
+  const obs::Counter& forced_count = obs::counter("gpumip.lp.method.forced");
+  const auto expect_counted = [&](std::uint64_t before, std::uint64_t bumps) {
+    EXPECT_EQ(forced_count.value(), before + (obs::kObsEnabled ? bumps : 0));
+  };
+
   const sparse::Csr small_dense = random_csr(16, 24, 0.5, 14);
-  MethodContext ctx;
-  ASSERT_EQ(choose_method(small_dense, ctx), LpMethod::Simplex);
-  ::setenv("GPUMIP_LP_METHOD", "pdhg", 1);
-  EXPECT_EQ(choose_method(small_dense, ctx), LpMethod::Pdhg);
-  EXPECT_TRUE(lp_method_override().has_value());
-  ::setenv("GPUMIP_LP_METHOD", "interior_point", 1);
-  EXPECT_EQ(choose_method(small_dense, ctx), LpMethod::InteriorPoint);
-  ::setenv("GPUMIP_LP_METHOD", "bogus", 1);
-  EXPECT_FALSE(lp_method_override().has_value());
-  EXPECT_EQ(choose_method(small_dense, ctx), LpMethod::Simplex);
-  ::unsetenv("GPUMIP_LP_METHOD");
+  MethodContext warm;
+  warm.warm_basis = true;
+  std::uint64_t before = forced_count.value();
+  ASSERT_EQ(choose_method(small_dense, warm), LpMethod::Simplex);
+  expect_counted(before, 0);
+  warm.forced = LpMethod::Pdhg;
+  EXPECT_EQ(choose_method(small_dense, warm), LpMethod::Pdhg);
+  warm.forced = LpMethod::InteriorPoint;
+  EXPECT_EQ(choose_method(small_dense, warm), LpMethod::InteriorPoint);
+  expect_counted(before, 2);
+
+  const sparse::Csr large_sparse = random_csr(512, 768, 0.005, 13);
+  MethodContext batched;
+  batched.batch_size = 64;
+  before = forced_count.value();
+  ASSERT_EQ(choose_method(large_sparse, batched), LpMethod::Pdhg);
+  expect_counted(before, 0);
+  batched.forced = LpMethod::Simplex;
+  EXPECT_EQ(choose_method(large_sparse, batched), LpMethod::Simplex);
+  expect_counted(before, 1);
 }
 
 TEST(MethodChooser, NamesAreStable) {
-  // docs/METHODS.md and GPUMIP_LP_METHOD both key on these exact strings
-  // (check.sh's methods-doc gate greps them out of this switch).
+  // docs/METHODS.md keys on these exact strings (check.sh's methods-doc
+  // gate greps them out of this switch).
   EXPECT_STREQ(lp_method_name(LpMethod::Simplex), "simplex");
   EXPECT_STREQ(lp_method_name(LpMethod::InteriorPoint), "interior_point");
   EXPECT_STREQ(lp_method_name(LpMethod::Pdhg), "pdhg");

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "linalg/blas.hpp"
-#include "sparse/device_sparse.hpp"
 #include "sparse/formats.hpp"
 #include "sparse/ops.hpp"
 
@@ -100,16 +99,6 @@ TEST(Ops, SpmvTransposeMatchesDense) {
   EXPECT_LT(max_abs_diff(y1, y2), 1e-12);
 }
 
-TEST(Ops, SpmmMatchesGemm) {
-  Rng rng(19);
-  Csr a = random_sparse(10, 0.3, rng);
-  Matrix b = Matrix::random(10, 4, rng);
-  Matrix c1(10, 4), c2(10, 4);
-  spmm(a, b, c1);
-  linalg::gemm(1.0, to_dense(a), b, 0.0, c2);
-  EXPECT_LT(max_abs_diff(c1, c2), 1e-12);
-}
-
 TEST(Ops, ColumnDot) {
   Rng rng(23);
   Csr a = random_sparse(8, 0.4, rng);
@@ -122,77 +111,6 @@ TEST(Ops, ColumnDot) {
     for (int i = 0; i < 8; ++i) expected += d(i, j) * x[static_cast<std::size_t>(i)];
     EXPECT_NEAR(column_dot(csc, j, x), expected, 1e-12);
   }
-}
-
-TEST(Ops, RowStatsDetectIrregularity) {
-  // Regular: every row has 2 entries; irregular: one dense row.
-  std::vector<Triplet> reg, irr;
-  for (int r = 0; r < 10; ++r) {
-    reg.push_back({r, r, 1.0});
-    reg.push_back({r, (r + 1) % 10, 1.0});
-    irr.push_back({r, r, 1.0});
-  }
-  for (int c = 0; c < 10; ++c) irr.push_back({0, c, 1.0});
-  const RowStats rs = row_stats(csr_from_triplets(10, 10, reg));
-  const RowStats is = row_stats(csr_from_triplets(10, 10, irr));
-  EXPECT_NEAR(rs.cv, 0.0, 1e-12);
-  EXPECT_GT(is.cv, 0.5);
-}
-
-TEST(DeviceSparse, UploadDownloadRoundTrip) {
-  gpu::Device dev;
-  Rng rng(53);
-  Csr a = random_sparse(20, 0.2, rng);
-  auto da = DeviceCsr::upload(dev, 0, a);
-  EXPECT_TRUE(approx_equal(da.download(0), a, 0.0));
-  EXPECT_EQ(dev.stats().transfers_h2d, 3u);  // rowptr + colidx + values
-}
-
-TEST(DeviceSparse, SpmvMatchesHostAndChargesSparseRates) {
-  gpu::Device dev;
-  Rng rng(59);
-  Csr a = random_sparse(40, 0.1, rng);
-  Vector x(40), y_host(40, 0.0);
-  for (auto& v : x) v = rng.uniform(-1, 1);
-  spmv(1.0, a, x, 0.0, y_host);
-  auto da = DeviceCsr::upload(dev, 0, a);
-  auto dx = linalg::DeviceVector::upload(dev, 0, x);
-  linalg::DeviceVector dy(dev, 40);
-  dy.assign(0, Vector(40, 0.0));
-  dev_spmv(0, 1.0, da, dx, 0.0, dy);
-  EXPECT_LT(max_abs_diff(dy.download(0), y_host), 1e-12);
-  EXPECT_GE(dev.stats().kernels, 1u);
-}
-
-TEST(DeviceSparse, SparseSpmvSlowerThanDenseGemvSameShape) {
-  // The paper's section 5.4 asymmetry: same logical matvec, the sparse
-  // kernel is charged more per flop.
-  Rng rng(61);
-  const int n = 200;
-  Csr sp = random_sparse(n, 0.9, rng);  // nearly dense in CSR form
-  Matrix dn = to_dense(sp);
-
-  gpu::Device dev_sparse, dev_dense;
-  Vector x(static_cast<std::size_t>(n), 1.0);
-  {
-    auto da = DeviceCsr::upload(dev_sparse, 0, sp);
-    auto dx = linalg::DeviceVector::upload(dev_sparse, 0, x);
-    linalg::DeviceVector dy(dev_sparse, n);
-    dy.assign(0, Vector(static_cast<std::size_t>(n), 0.0));
-    dev_sparse.reset_stats();
-    dev_spmv(0, 1.0, da, dx, 0.0, dy);
-    dev_sparse.synchronize();
-  }
-  {
-    auto da = linalg::DeviceMatrix::upload(dev_dense, 0, dn);
-    auto dx = linalg::DeviceVector::upload(dev_dense, 0, x);
-    linalg::DeviceVector dy(dev_dense, n);
-    dy.assign(0, Vector(static_cast<std::size_t>(n), 0.0));
-    dev_dense.reset_stats();
-    linalg::dev_gemv(0, 1.0, da, dx, 0.0, dy);
-    dev_dense.synchronize();
-  }
-  EXPECT_GT(dev_sparse.stats().kernel_seconds, dev_dense.stats().kernel_seconds);
 }
 
 }  // namespace
