@@ -59,8 +59,8 @@ void BnbSolver::root_cut_loop() {
   CutPool pool;
   for (int round = 0; round < kCutRounds; ++round) {
     // Each round is a traced span: its duration IS the device→host→device
-    // round-trip latency the paper's C4 tension is about (gpumip-trace
-    // aggregates these into the cut-latency report).
+    // round-trip latency the paper's C4 tension is about (gpumip-report
+    // --trace aggregates these into the cut-latency report).
     GPUMIP_TRACE_SCOPE("gpumip.mip.cuts.round", round);
     form_ = std::make_unique<lp::StandardForm>(lp::build_standard_form(model_.lp()));
     lp_solver_ = std::make_unique<lp::SimplexSolver>(*form_, options_.lp);

@@ -165,7 +165,7 @@ class Registry {
   /// docs/METRICS.md for the layout). The v2 document keeps the v1
   /// counters/gauges/histograms maps — labeled instruments appear as
   /// flattened `name{k=v,...}` keys — and adds a "families" array, so v1
-  /// readers (bench_compare.py) keep working unchanged.
+  /// readers (gpumip-report) keep working unchanged.
   std::string to_json() const;
 
   /// Writes to_json() to `path` atomically enough for collection scripts

@@ -301,6 +301,16 @@ TEST(Supervisor, LoadIsDistributed) {
   opts.worker_node_budget = 8;  // force many round trips
   opts.ramp_up_nodes = 12;
   opts.mip.enable_cuts = false;
+  // The supervisor serves requests in arrival order, so under CPU load one
+  // worker could take every assignment before the others' first requests
+  // land. Replay a delivery prefix in which rank 0 takes each worker's
+  // first message (its work request, seq 1) before any second one; replay
+  // matches (source, seq) only, and after the prefix the schedule runs free.
+  DeliveryTrace first_requests;
+  for (int worker = 1; worker <= opts.workers; ++worker) {
+    first_requests.deliveries.push_back({.rank = 0, .source = worker, .seq = 1});
+  }
+  opts.schedule.replay = &first_requests;
   SupervisorResult r = solve_supervised(m, opts);
   ASSERT_EQ(r.result.status, mip::MipStatus::Optimal);
   int busy_workers = 0;

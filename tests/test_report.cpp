@@ -1,8 +1,9 @@
 // Tests for the gpumip-report engine (tools/gpumip-report/report.hpp):
 // document parsing (metrics v1/v2, bench baselines, time series), the
 // claim-category mapping with its exclusion list, single-run profiles,
-// two-run attribution ranking, and the live round trip — a real metrics
-// export from the registry parsed back and attributed.
+// the tolerance compare, two-run attribution ranking, and the live round
+// trip — a real metrics export from the registry parsed back and
+// attributed.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -19,6 +20,7 @@ namespace {
 
 using reporttool::Attribution;
 using reporttool::BenchDoc;
+using reporttool::Comparison;
 using reporttool::MetricsSnapshot;
 using reporttool::Profile;
 using reporttool::TimeSeries;
@@ -92,6 +94,72 @@ TEST(ReportAttribution, DoubledTransferOutranksNoiseAndExclusionsAreSilent) {
   EXPECT_EQ(a.ranked[1].category, "c3_basis");
   ASSERT_FALSE(a.ranked[0].top.empty());
   EXPECT_EQ(a.ranked[0].top[0].name, "gpumip.gpu.xfer.h2d.bytes");
+
+  // The compare judges the same pair: the doubled transfer is the one
+  // regression, the 1% refactor wobble is inside 2%, obs never counts.
+  const Comparison c = reporttool::compare(base, cur);
+  ASSERT_EQ(c.failures.size(), 1u);
+  EXPECT_EQ(c.failures[0].rfind("bench: gpumip.gpu.xfer.h2d.bytes = 2000 vs baseline 1000", 0), 0u)
+      << c.failures[0];
+  EXPECT_EQ(c.compared, 2);
+}
+
+TEST(ReportCompare, TightOnClaimLedgersLooseElsewhereAndUnderSupervision) {
+  const BenchDoc base = one_bench({{"gpumip.lp.ops.refactor", 100.0},
+                                   {"gpumip.simmpi.msgs", 100.0}},
+                                  {{"gpumip.test.zero", 0.0}});
+  // A claim ledger moving 3% breaks the 2% class; protocol traffic moving
+  // 20% stays inside 25%; 0 -> 5e-10 stays under the 1e-9 floor.
+  const BenchDoc moved = one_bench({{"gpumip.lp.ops.refactor", 103.0},
+                                    {"gpumip.simmpi.msgs", 120.0}},
+                                   {{"gpumip.test.zero", 5e-10}});
+  const Comparison sequential = reporttool::compare(base, moved);
+  ASSERT_EQ(sequential.failures.size(), 1u);
+  EXPECT_NE(sequential.failures[0].find("gpumip.lp.ops.refactor"), std::string::npos);
+  EXPECT_NE(sequential.failures[0].find("tolerance 2%"), std::string::npos);
+  EXPECT_EQ(sequential.compared, 3);
+
+  // The same moves in a bench whose baseline ran under the supervisor (it
+  // has a gpumip.supervisor.dispatched counter) are judged loosely.
+  BenchDoc supervised_base = base;
+  BenchDoc supervised_moved = moved;
+  supervised_base.benches["bench"].counters["gpumip.supervisor.dispatched"] = 10.0;
+  supervised_moved.benches["bench"].counters["gpumip.supervisor.dispatched"] = 10.0;
+  const Comparison supervised = reporttool::compare(supervised_base, supervised_moved);
+  EXPECT_TRUE(supervised.failures.empty()) << supervised.failures.front();
+  EXPECT_EQ(supervised.compared, 4);
+}
+
+TEST(ReportCompare, MissingFailsNewWarnsExcludedNeverFail) {
+  BenchDoc base = one_bench({{"gpumip.mip.nodes", 10.0},
+                             {"gpumip.obs.trace.dropped", 1.0},
+                             {"gpumip.supervisor.checkpoints", 2.0},
+                             {"gpumip.simmpi.sent.bytes{rank=1}", 49.0}},
+                            {{"gpumip.simmpi.recv.idle_seconds{rank=0}", 0.5},
+                             {"gpumip.mip.reuse.hit_rate", 0.5}});
+  base.benches["other"] = base.benches["bench"];
+  // Every excluded name moves wildly, one metric vanishes, one appears
+  // and a whole bench is gone.
+  const BenchDoc cur = one_bench({{"gpumip.mip.nodes", 10.0},
+                                  {"gpumip.obs.trace.dropped", 900.0},
+                                  {"gpumip.supervisor.checkpoints", 200.0},
+                                  {"gpumip.simmpi.sent.bytes{rank=1}", 4900.0},
+                                  {"gpumip.lp.ops.new_counter", 1.0}},
+                                 {{"gpumip.simmpi.recv.idle_seconds{rank=0}", 50.0}});
+  const Comparison c = reporttool::compare(base, cur);
+  ASSERT_EQ(c.failures.size(), 2u);
+  EXPECT_EQ(c.failures[0], "bench: gauge gpumip.mip.reuse.hit_rate missing from current run");
+  EXPECT_EQ(c.failures[1], "other: bench missing from current run");
+  ASSERT_EQ(c.warnings.size(), 1u);
+  EXPECT_EQ(c.warnings[0].rfind("bench: new counter gpumip.lp.ops.new_counter", 0), 0u);
+  EXPECT_EQ(c.compared, 1);
+
+  // A new metric alone only warns.
+  const Comparison grown = reporttool::compare(one_bench({{"gpumip.mip.nodes", 10.0}}),
+                                               one_bench({{"gpumip.mip.nodes", 10.0},
+                                                          {"gpumip.mip.extra", 1.0}}));
+  EXPECT_TRUE(grown.failures.empty());
+  EXPECT_EQ(grown.warnings.size(), 1u);
 }
 
 TEST(ReportAttribution, MissingMetricScoresAgainstZeroAndIdenticalRunsAreClean) {

@@ -1,6 +1,6 @@
 // Event-tracing subsystem (obs/trace.hpp): ring-buffer recording semantics,
 // rank binding to the simulated clock, cross-rank flow stitching, Perfetto
-// JSON export analyzed by the gpumip-trace engine, and the headline
+// JSON export analyzed by the trace engine (tools/gpumip-trace), and the headline
 // record/replay property — a fuzzed schedule replayed through
 // GPUMIP_SCHEDULE_REPLAY yields a bit-identical per-rank simulated timeline
 // (check/schedule_check.hpp::check_trace_replay_equality).

@@ -1,23 +1,32 @@
-// gpumip-report CLI — scripts/check.sh gate 10 entry point.
+// gpumip-report CLI — the one reader of the observability exports
+// (scripts/check.sh gates 8 and 9, scripts/bench.sh --compare).
 //
-//   gpumip-report --self-check
+//   gpumip-report --self-check [--trace TRACE.json]
+//   gpumip-report --compare BASE.json CURRENT.json
 //   gpumip-report --attribute BASE.json CURRENT.json [--expect-top CATEGORY]
 //   gpumip-report --metrics RUN.json [--timeseries TS.json] [--trace TRACE.json]
+//   gpumip-report --trace TRACE.json
 //
-// --self-check runs the engine's known-answer fixtures (parsing, category
-// mapping, exclusion list, the embedded doubled-H2D drill).
+// --self-check runs the known-answer fixtures of both engines: the report
+// engine's (parsing, category mapping, exclusion list, compare, the
+// embedded doubled-H2D drill) and the trace analyzer's. With --trace it
+// also requires that trace to be non-trivial (matched flows, >= 2 ranks,
+// a cross-rank critical path); gate 9 runs this on the committed fixture.
 //
-// --attribute loads two runs (bench-baseline documents from scripts/bench.sh
-// or raw metrics exports) and prints which claim categories explain the
-// delta, ranked. With --expect-top, exits 1 unless the top-ranked category
-// matches — gate 10 uses this against the committed fixture pair, and
-// scripts/bench.sh --compare uses the plain form to annotate regressions.
+// --compare and --attribute load two runs (bench-baseline documents from
+// scripts/bench.sh or raw metrics exports). --compare judges whether
+// CURRENT regressed against BASE within the per-family tolerances
+// (report.hpp) and, on a regression, also prints the attribution.
+// --attribute prints which claim categories explain the delta, ranked;
+// with --expect-top it exits 1 unless the top-ranked category matches.
 //
 // --metrics builds a single-run profile, optionally merging a time-series
-// export and a trace-event timeline into the same report.
+// export and a trace-event timeline. --trace alone prints the timeline
+// analysis (critical path, per-rank busy/blocked/idle, device-lane
+// overlap, cut latency).
 //
-// Exit status: 0 clean, 1 failed self-check / unexpected top category,
-// 2 usage/IO/parse error.
+// Exit status: 0 clean, 1 regression / failed self-check / trivial trace
+// under --self-check / unexpected top category, 2 usage/IO/parse error.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -37,6 +46,23 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
+/// Reads and parses one document; "" on success, else the error to report.
+template <typename Doc, typename Parse>
+std::string load(const std::string& path, Doc& out, Parse parse) {
+  std::string text;
+  if (!read_file(path, text)) return "cannot read " + path;
+  std::string error;
+  if (!parse(text, out, error)) return path + ": " + error;
+  return "";
+}
+
+/// Both documents of a two-run mode, BASE first.
+std::string load_pair(const std::vector<std::string>& paths, gpumip::reporttool::BenchDoc& base,
+                      gpumip::reporttool::BenchDoc& current) {
+  std::string error = load(paths[0], base, gpumip::reporttool::parse_run);
+  return error.empty() ? load(paths[1], current, gpumip::reporttool::parse_run) : error;
+}
+
 int usage_error(const std::string& what) {
   std::cerr << "gpumip-report: " << what << " (see --help)\n";
   return 2;
@@ -46,8 +72,10 @@ int usage_error(const std::string& what) {
 
 int main(int argc, char** argv) {
   using namespace gpumip::reporttool;
+  namespace tracetool = gpumip::tracetool;
 
   bool self_check = false;
+  std::vector<std::string> compare_paths;
   std::vector<std::string> attribute_paths;
   std::string expect_top;
   std::string metrics_path;
@@ -63,14 +91,19 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto run_pair = [&](std::vector<std::string>& paths) {
+      const char* base = next("BASE.json CURRENT.json");
+      const char* current = base == nullptr ? nullptr : next("CURRENT.json");
+      if (current == nullptr) return false;
+      paths = {base, current};
+      return true;
+    };
     if (arg == "--self-check") {
       self_check = true;
+    } else if (arg == "--compare") {
+      if (!run_pair(compare_paths)) return 2;
     } else if (arg == "--attribute") {
-      const char* base = next("BASE.json CURRENT.json");
-      if (base == nullptr) return 2;
-      const char* current = next("CURRENT.json");
-      if (current == nullptr) return 2;
-      attribute_paths = {base, current};
+      if (!run_pair(attribute_paths)) return 2;
     } else if (arg == "--expect-top") {
       const char* category = next("a category id");
       if (category == nullptr) return 2;
@@ -88,40 +121,61 @@ int main(int argc, char** argv) {
       if (path == nullptr) return 2;
       trace_path = path;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: gpumip-report --self-check\n"
+      std::cout << "usage: gpumip-report --self-check [--trace TRACE.json]\n"
+                   "       gpumip-report --compare BASE.json CURRENT.json\n"
                    "       gpumip-report --attribute BASE.json CURRENT.json"
                    " [--expect-top CATEGORY]\n"
                    "       gpumip-report --metrics RUN.json [--timeseries TS.json]"
-                   " [--trace TRACE.json]\n";
+                   " [--trace TRACE.json]\n"
+                   "       gpumip-report --trace TRACE.json\n";
       return 0;
     } else {
       return usage_error("unknown argument " + arg);
     }
+  }
+  if (!expect_top.empty() && attribute_paths.empty()) {
+    return usage_error("--expect-top requires --attribute");
+  }
+  if (!timeseries_path.empty() && metrics_path.empty()) {
+    return usage_error("--timeseries requires --metrics");
+  }
+  if (!self_check && compare_paths.empty() && attribute_paths.empty() &&
+      metrics_path.empty() && trace_path.empty()) {
+    return usage_error("nothing to do");
   }
 
   bool ok = true;
   if (self_check) {
     std::cout << "==> gpumip-report self-check (known-answer fixtures)\n";
     ok = run_self_check(std::cout);
+    std::cout << "==> trace analyzer self-check (known-answer fixtures)\n";
+    ok = tracetool::run_self_check(std::cout) && ok;
+  }
+
+  if (!compare_paths.empty()) {
+    BenchDoc base;
+    BenchDoc current;
+    if (std::string e = load_pair(compare_paths, base, current); !e.empty()) return usage_error(e);
+    const Comparison verdict = compare(base, current);
+    for (const std::string& line : verdict.warnings) std::cout << "    warning: " << line << "\n";
+    if (verdict.failures.empty()) {
+      std::cout << "    bench compare: " << verdict.compared << " metrics within tolerance ("
+                << verdict.warnings.size() << " warning(s))\n";
+    } else {
+      std::cerr << "bench compare: " << verdict.failures.size() << " regression(s) ("
+                << verdict.compared << " metrics compared):\n";
+      for (const std::string& line : verdict.failures) std::cerr << "  " << line << "\n";
+      // Say WHICH paper-claim category moved, not just that one did.
+      std::cout << format_attribution(attribute(base, current));
+      ok = false;
+    }
   }
 
   if (!attribute_paths.empty()) {
-    std::string base_text;
-    std::string cur_text;
-    if (!read_file(attribute_paths[0], base_text)) {
-      return usage_error("cannot read " + attribute_paths[0]);
-    }
-    if (!read_file(attribute_paths[1], cur_text)) {
-      return usage_error("cannot read " + attribute_paths[1]);
-    }
     BenchDoc base;
     BenchDoc current;
-    std::string error;
-    if (!parse_run(base_text, base, error)) {
-      return usage_error(attribute_paths[0] + ": " + error);
-    }
-    if (!parse_run(cur_text, current, error)) {
-      return usage_error(attribute_paths[1] + ": " + error);
+    if (std::string e = load_pair(attribute_paths, base, current); !e.empty()) {
+      return usage_error(e);
     }
     const Attribution attribution = attribute(base, current);
     std::cout << "==> " << attribute_paths[0] << " vs " << attribute_paths[1] << "\n"
@@ -133,51 +187,37 @@ int main(int argc, char** argv) {
                 << expect_top << "\n";
       if (!match) ok = false;
     }
-  } else if (!expect_top.empty()) {
-    return usage_error("--expect-top requires --attribute");
   }
 
+  tracetool::Trace trace;
+  if (!trace_path.empty()) {
+    if (std::string e = load(trace_path, trace, tracetool::parse_trace); !e.empty()) {
+      return usage_error(e);
+    }
+  }
+  tracetool::Report timeline;
   if (!metrics_path.empty()) {
-    std::string text;
-    if (!read_file(metrics_path, text)) return usage_error("cannot read " + metrics_path);
     BenchDoc run;
-    std::string error;
-    if (!parse_run(text, run, error)) return usage_error(metrics_path + ": " + error);
-
+    if (std::string e = load(metrics_path, run, parse_run); !e.empty()) return usage_error(e);
     TimeSeries series;
-    const TimeSeries* series_ptr = nullptr;
     if (!timeseries_path.empty()) {
-      std::string ts_text;
-      if (!read_file(timeseries_path, ts_text)) {
-        return usage_error("cannot read " + timeseries_path);
+      if (std::string e = load(timeseries_path, series, parse_timeseries); !e.empty()) {
+        return usage_error(e);
       }
-      if (!parse_timeseries(ts_text, series, error)) {
-        return usage_error(timeseries_path + ": " + error);
-      }
-      series_ptr = &series;
     }
-
-    gpumip::tracetool::Trace trace;
-    const gpumip::tracetool::Trace* trace_ptr = nullptr;
-    if (!trace_path.empty()) {
-      std::string trace_text;
-      if (!read_file(trace_path, trace_text)) {
-        return usage_error("cannot read " + trace_path);
-      }
-      if (!gpumip::tracetool::parse_trace(trace_text, trace, error)) {
-        return usage_error(trace_path + ": " + error);
-      }
-      trace_ptr = &trace;
-    }
-
-    const Profile profile = build_profile(run, trace_ptr, series_ptr);
+    const Profile profile = build_profile(run, trace_path.empty() ? nullptr : &trace,
+                                          timeseries_path.empty() ? nullptr : &series);
     std::cout << "==> " << metrics_path << "\n" << format_profile(profile);
-  } else if (!timeseries_path.empty() || !trace_path.empty()) {
-    return usage_error("--timeseries/--trace require --metrics");
+    timeline = profile.trace;
+  } else if (!trace_path.empty()) {
+    timeline = tracetool::analyze(trace);
+    std::cout << "==> " << trace_path << "\n" << tracetool::format_report(timeline);
   }
-
-  if (!self_check && attribute_paths.empty() && metrics_path.empty()) {
-    return usage_error("nothing to do");
+  if (self_check && !trace_path.empty()) {
+    const std::string verdict = tracetool::verify_nontrivial(timeline);
+    std::cout << "  [" << (verdict.empty() ? "PASS" : "FAIL") << "] "
+              << (verdict.empty() ? "trace is non-trivial" : verdict) << "\n";
+    if (!verdict.empty()) ok = false;
   }
   return ok ? 0 : 1;
 }

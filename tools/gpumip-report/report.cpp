@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <ostream>
 #include <sstream>
 
@@ -64,60 +65,7 @@ bool snapshot_from(const JsonValue& root, MetricsSnapshot& out, std::string& err
   return true;
 }
 
-constexpr double kScoreFloor = 1e-9;  // slack for baselines at or near zero
-
-/// Family part of a possibly-labeled metric name: everything before '{'.
-std::string strip_labels(const std::string& name) {
-  const std::size_t brace = name.find('{');
-  return brace == std::string::npos ? name : name.substr(0, brace);
-}
-
-bool starts_with(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::char_traits<char>::length(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-/// Rewrite `name{...,rank=R,...}` without its rank pair (empty label sets
-/// drop the braces). Which rank serves which node is race-dependent, so
-/// two correct runs shuffle the per-rank splits freely; only the summed
-/// family total is replay-stable evidence.
-std::string drop_rank_label(const std::string& name) {
-  const std::size_t open = name.find('{');
-  if (open == std::string::npos || name.back() != '}') return name;
-  std::string kept;
-  std::size_t pos = open + 1;
-  const std::size_t end = name.size() - 1;
-  while (pos < end) {
-    std::size_t comma = name.find(',', pos);
-    if (comma == std::string::npos || comma > end) comma = end;
-    const std::string pair = name.substr(pos, comma - pos);
-    if (pair.rfind("rank=", 0) != 0) {
-      if (!kept.empty()) kept += ',';
-      kept += pair;
-    }
-    pos = comma + 1;
-  }
-  const std::string base = name.substr(0, open);
-  return kept.empty() ? base : base + "{" + kept + "}";
-}
-
-/// Sum rank-labeled splits into their family total before scoring.
-std::map<std::string, double> aggregate_rank_splits(
-    const std::map<std::string, double>& values) {
-  std::map<std::string, double> out;
-  for (const auto& [name, value] : values) out[drop_rank_label(name)] += value;
-  return out;
-}
-
-}  // namespace
-
-bool parse_metrics(const std::string& json, MetricsSnapshot& out, std::string& error) {
-  JsonValue root;
-  if (!JsonReader(json).parse(root, error)) return false;
+bool metrics_from(const JsonValue& root, MetricsSnapshot& out, std::string& error) {
   if (!snapshot_from(root, out, error)) return false;
   if (out.schema != "gpumip.metrics.v1" && out.schema != "gpumip.metrics.v2") {
     error = "unexpected metrics schema '" + out.schema + "'";
@@ -126,9 +74,7 @@ bool parse_metrics(const std::string& json, MetricsSnapshot& out, std::string& e
   return true;
 }
 
-bool parse_bench_doc(const std::string& json, BenchDoc& out, std::string& error) {
-  JsonValue root;
-  if (!JsonReader(json).parse(root, error)) return false;
+bool bench_doc_from(const JsonValue& root, BenchDoc& out, std::string& error) {
   if (string_or(root.find("schema"), "") != "gpumip.bench-baseline.v1") {
     error = "unexpected baseline schema '" + string_or(root.find("schema"), "") + "'";
     return false;
@@ -155,13 +101,91 @@ bool parse_bench_doc(const std::string& json, BenchDoc& out, std::string& error)
   return true;
 }
 
+constexpr double kScoreFloor = 1e-9;  // slack for baselines at or near zero
+
+/// Family part of a possibly-labeled metric name: everything before '{'.
+std::string strip_labels(const std::string& name) {
+  const std::size_t brace = name.find('{');
+  return brace == std::string::npos ? name : name.substr(0, brace);
+}
+
+bool starts_with(const std::string& s, const char* prefix) {
+  return s.rfind(prefix, 0) == 0;
+}
+
+bool ends_with(const std::string& s, const char* suffix) {
+  const std::size_t n = std::char_traits<char>::length(suffix);
+  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+}
+
+/// Names no reader judges: the observability layer's own bookkeeping
+/// (trace drops, sampler overhead) and host-timing noise (blocking time,
+/// quiesced-point checkpoint hits) say nothing about the solver.
+bool excluded(const std::string& metric_name) {
+  const std::string name = strip_labels(metric_name);
+  return starts_with(name, "gpumip.obs.") || ends_with(name, ".idle_seconds") ||
+         name == "gpumip.supervisor.checkpoints";
+}
+
+/// Rewrite `name{...,rank=R,...}` without its rank pair (empty label sets
+/// drop the braces). Which rank serves which node is race-dependent, so
+/// two correct runs shuffle the per-rank splits freely; only the summed
+/// family total is replay-stable evidence.
+std::string drop_rank_label(const std::string& name) {
+  const std::size_t open = name.find('{');
+  if (open == std::string::npos || name.back() != '}') return name;
+  std::string kept;
+  std::size_t pos = open + 1;
+  const std::size_t end = name.size() - 1;
+  while (pos < end) {
+    std::size_t comma = name.find(',', pos);
+    if (comma == std::string::npos || comma > end) comma = end;
+    const std::string pair = name.substr(pos, comma - pos);
+    if (pair.rfind("rank=", 0) != 0) {
+      if (!kept.empty()) kept += ',';
+      kept += pair;
+    }
+    pos = comma + 1;
+  }
+  const std::string base = name.substr(0, open);
+  return kept.empty() ? base : base + "{" + kept + "}";
+}
+
+/// printf("%g"): the compare's report format.
+std::string g_format(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", value);
+  return buf;
+}
+
+/// Sum rank-labeled splits into their family total before scoring.
+std::map<std::string, double> aggregate_rank_splits(
+    const std::map<std::string, double>& values) {
+  std::map<std::string, double> out;
+  for (const auto& [name, value] : values) out[drop_rank_label(name)] += value;
+  return out;
+}
+
+}  // namespace
+
+bool parse_metrics(const std::string& json, MetricsSnapshot& out, std::string& error) {
+  JsonValue root;
+  return JsonReader(json).parse(root, error) && metrics_from(root, out, error);
+}
+
+bool parse_bench_doc(const std::string& json, BenchDoc& out, std::string& error) {
+  JsonValue root;
+  return JsonReader(json).parse(root, error) && bench_doc_from(root, out, error);
+}
+
 bool parse_run(const std::string& json, BenchDoc& out, std::string& error) {
   JsonValue root;
   if (!JsonReader(json).parse(root, error)) return false;
-  const std::string schema = string_or(root.find("schema"), "");
-  if (schema == "gpumip.bench-baseline.v1") return parse_bench_doc(json, out, error);
+  if (string_or(root.find("schema"), "") == "gpumip.bench-baseline.v1") {
+    return bench_doc_from(root, out, error);
+  }
   MetricsSnapshot snap;
-  if (!parse_metrics(json, snap, error)) return false;
+  if (!metrics_from(root, snap, error)) return false;
   out.benches.clear();
   out.benches["run"] = std::move(snap);
   return true;
@@ -218,14 +242,8 @@ const std::vector<std::string>& category_ids() {
 }
 
 std::string category_of(const std::string& metric_name) {
+  if (excluded(metric_name)) return "";
   const std::string name = strip_labels(metric_name);
-  // Exclusions first: the observability layer's own bookkeeping (trace
-  // drops, sampler overhead) and host-timing noise must not be blamed for
-  // a solver regression — same stance as scripts/bench_compare.py.
-  if (starts_with(name, "gpumip.obs.")) return "";
-  if (ends_with(name, ".idle_seconds")) return "";
-  if (name == "gpumip.supervisor.checkpoints") return "";
-
   if (starts_with(name, "gpumip.gpu.xfer.")) return "transfer";
   if (starts_with(name, "gpumip.lp.ops.")) return "c3_basis";
   if (starts_with(name, "gpumip.mip.cuts.") || starts_with(name, "gpumip.cuts.")) {
@@ -347,6 +365,60 @@ Attribution attribute(const BenchDoc& base, const BenchDoc& current) {
   return out;
 }
 
+Comparison compare(const BenchDoc& base, const BenchDoc& current) {
+  constexpr double kTightRel = 0.02;
+  constexpr double kLooseRel = 0.25;
+  // Rank splits are skipped here but summed by `attribute`, on purpose: a
+  // bench baseline always carries the world totals (gpumip.simmpi.bytes,
+  // gpumip.supervisor.dispatched) next to the race-dependent splits, so
+  // the compare judges those; attribution also reads raw exports whose
+  // only record of a family may be its splits.
+  auto judged = [](const std::string& name) {
+    return !excluded(name) && drop_rank_label(name) == name;
+  };
+  Comparison out;
+  for (const auto& [bench, base_snap] : base.benches) {
+    const auto cur_it = current.benches.find(bench);
+    if (cur_it == current.benches.end()) {
+      out.failures.push_back(bench + ": bench missing from current run");
+      continue;
+    }
+    const bool supervised = base_snap.counters.count("gpumip.supervisor.dispatched") != 0;
+    auto judge = [&](const std::string& kind, const std::map<std::string, double>& base_map,
+                     const std::map<std::string, double>& cur_map) {
+      for (const auto& [name, base_value] : base_map) {
+        if (!judged(name)) continue;
+        const auto cur = cur_map.find(name);
+        if (cur == cur_map.end()) {
+          out.failures.push_back(bench + ": " + kind + " " + name + " missing from current run");
+          continue;
+        }
+        ++out.compared;
+        const bool tight = starts_with(name, "gpumip.gpu.") || starts_with(name, "gpumip.lp.") ||
+                           starts_with(name, "gpumip.mip.");
+        const double rel = tight && !supervised ? kTightRel : kLooseRel;
+        const double limit = std::max(rel * std::fabs(base_value), kScoreFloor);
+        const double delta = std::fabs(cur->second - base_value);
+        if (delta > limit) {
+          out.failures.push_back(bench + ": " + name + " = " + g_format(cur->second) +
+                                 " vs baseline " + g_format(base_value) + " (|delta| " +
+                                 g_format(delta) + " > " + g_format(limit) + ", tolerance " +
+                                 g_format(rel * 100) + "%)");
+        }
+      }
+      for (const auto& [name, value] : cur_map) {
+        if (base_map.count(name) == 0 && judged(name)) {
+          out.warnings.push_back(bench + ": new " + kind + " " + name +
+                                 " (regenerate the baseline to start tracking it)");
+        }
+      }
+    };
+    judge("counter", base_snap.counters, cur_it->second.counters);
+    judge("gauge", base_snap.gauges, cur_it->second.gauges);
+  }
+  return out;
+}
+
 std::string format_profile(const Profile& profile) {
   std::ostringstream out;
   out.setf(std::ios::fixed);
@@ -357,7 +429,7 @@ std::string format_profile(const Profile& profile) {
         << "\n";
   }
   if (profile.has_trace) {
-    out << "timeline (gpumip-trace analysis):\n";
+    out << "timeline (trace analysis):\n";
     out << "  makespan " << profile.trace.makespan_seconds << "s, "
         << profile.trace.critical_path.size() << " critical hop(s)\n";
     for (const tracetool::RankBreakdown& rb : profile.trace.ranks) {
@@ -575,6 +647,14 @@ bool run_self_check(std::ostream& out) {
 
   const Attribution clean = attribute(base, base);
   expect(clean.ranked.empty(), "identical runs attribute to nothing");
+
+  const Comparison same = compare(base, base);
+  expect(same.failures.empty() && same.compared == 5,
+         "compare: identical runs pass, 5 judged metrics (obs, checkpoint, rank splits skipped)");
+  const Comparison caught = compare(base, regression);
+  expect(caught.failures.size() == 1 &&
+             caught.failures.front().rfind("e1: gpumip.gpu.xfer.h2d.bytes", 0) == 0,
+         "compare: doubled H2D volume is the one regression");
 
   // Rank shuffles between two correct runs must cancel in the family
   // total: opposing per-rank jitter scores zero, the real H2D move wins.

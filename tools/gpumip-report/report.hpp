@@ -1,12 +1,13 @@
-// gpumip-report: per-solve profile assembly and regression attribution
-// (scripts/check.sh gate 10; docs/TRACING.md "Report workflow").
+// gpumip-report: the one reader of the observability exports
+// (scripts/check.sh gates 8 and 9; docs/TRACING.md "Report workflow").
 //
 // The observability layer exports three complementary documents — a
 // metrics snapshot (docs/METRICS.md, gpumip.metrics.v1/v2), a sim-clock
 // time series (gpumip.timeseries.v1, src/obs/sampler.hpp), and a
-// trace-event timeline (gpumip.trace.v1, analyzed by gpumip-trace). This
-// tool merges them into one profile that attributes where the makespan
-// went in terms of the paper's claim categories:
+// trace-event timeline (gpumip.trace.v1, analyzed by the trace engine in
+// tools/gpumip-trace). This tool merges them into one profile that
+// attributes where the makespan went in terms of the paper's claim
+// categories:
 //
 //   transfer  — H2D/D2H volume and staging      (gpumip.gpu.xfer.*)
 //   c3_basis  — basis maintenance / refactors   (gpumip.lp.ops.*)
@@ -16,15 +17,14 @@
 //   c7_batch  — batched-LP wave shape           (gpumip.lp.batch.*)
 //   c8_scale  — scale-out protocol traffic      (gpumip.simmpi.*, supervisor)
 //
-// Given TWO runs (bench-baseline or raw metrics documents), `attribute`
-// ranks the categories by how much of the metric delta they explain —
-// scripts/bench.sh --compare runs it whenever the comparator finds a
-// regression, so "gate 8 failed" arrives with a named culprit instead of
-// a wall of counter diffs.
+// Given TWO runs (bench-baseline or raw metrics documents), `compare`
+// decides WHETHER a ledger regressed (per-family tolerances) and
+// `attribute` ranks the categories by how much of the metric delta they
+// explain — scripts/bench.sh --compare runs both in one call, so "gate 8
+// failed" arrives with a named culprit instead of a wall of counter diffs.
 //
 // Engine is a static library (tests/test_report.cpp drives it with
-// in-memory documents); the CLI in main.cpp wraps it, mirroring
-// tools/gpumip-trace.
+// in-memory documents); the CLI in main.cpp wraps it.
 #pragma once
 
 #include <cstdint>
@@ -80,12 +80,12 @@ bool parse_timeseries(const std::string& json, TimeSeries& out, std::string& err
 // ---- claim-category mapping ------------------------------------------------
 
 /// Category id for a metric name ("transfer", "c3_basis", ..., "other"),
-/// or "" for names excluded from attribution entirely: the observability
-/// layer's own bookkeeping (gpumip.obs.*, including trace-ring drops and
-/// sampler overhead) and host-timing noise (*.idle_seconds, checkpoint
-/// hits) — the same skip list scripts/bench_compare.py applies. Labels
-/// are ignored for categorization: `gpumip.lp.solves{method=pdhg}` maps
-/// where `gpumip.lp.solves` does.
+/// or "" for names no reader judges: the observability layer's own
+/// bookkeeping (gpumip.obs.*, including trace-ring drops and sampler
+/// overhead) and host-timing noise (*.idle_seconds, checkpoint hits) —
+/// the same exclusion `compare` applies. Labels are ignored for
+/// categorization: `gpumip.lp.solves{method=pdhg}` maps where
+/// `gpumip.lp.solves` does.
 std::string category_of(const std::string& metric_name);
 
 /// All category ids in report order (excludes the "" exclusion marker).
@@ -141,6 +141,26 @@ struct Attribution {
 /// missing from one side is scored against zero.
 Attribution attribute(const BenchDoc& base, const BenchDoc& current);
 
+// ---- tolerance compare -----------------------------------------------------
+
+struct Comparison {
+  std::vector<std::string> failures;  ///< one line per regressed or missing entry
+  std::vector<std::string> warnings;  ///< metrics new in the current run
+  long compared = 0;                  ///< metrics judged against a limit
+};
+
+/// Decides whether `current` regressed against `base`. Counters and gauges
+/// are driven by the simulated clocks and compared within
+/// max(rel·|base|, 1e-9); histograms hold host wall time and are never
+/// compared. rel is 2% for the paper-claim ledgers (gpumip.gpu.*,
+/// gpumip.lp.*, gpumip.mip.*) and 25% for everything else, and 25%
+/// throughout a bench whose baseline has a gpumip.supervisor.dispatched
+/// counter: supervised outcomes are schedule-independent but event counts
+/// are not. Names `category_of` excludes and {…rank=N…} splits are
+/// skipped. A bench or metric of `base` missing from `current` fails; a
+/// metric new in `current` only warns.
+Comparison compare(const BenchDoc& base, const BenchDoc& current);
+
 // ---- rendering -------------------------------------------------------------
 
 std::string format_profile(const Profile& profile);
@@ -148,8 +168,8 @@ std::string format_attribution(const Attribution& attribution);
 
 /// Built-in known-answer fixtures: document parsing (metrics v1 + v2,
 /// bench baselines, time series), category mapping, exclusion list, and
-/// an embedded doubled-H2D regression whose attribution must rank the
-/// transfer category first. Prints one line per expectation; returns
+/// an embedded doubled-H2D regression that the compare must reject and
+/// whose attribution must rank the transfer category first. Prints one line per expectation; returns
 /// false if any fails.
 bool run_self_check(std::ostream& out);
 

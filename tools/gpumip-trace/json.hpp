@@ -1,5 +1,4 @@
-// Minimal JSON DOM shared by the analysis tools (gpumip-trace,
-// gpumip-report). All inputs are machine-written and bounded — metrics
+// Minimal JSON DOM shared by the trace and report engines. All inputs are machine-written and bounded — metrics
 // exports, time-series exports, trace-event files, bench baselines — so a
 // small recursive-descent reader keeps the tools dependency-free (same
 // stance as gpumip-lint's lexer). Extracted from gpumip-trace/analyze.cpp
