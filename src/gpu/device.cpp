@@ -93,8 +93,9 @@ StreamId Device::create_stream() {
 }
 
 void Device::validate_stream(StreamId stream) const {
-  check_arg(stream >= 0 && stream < static_cast<StreamId>(streams_.size()),
-            "invalid stream id " + std::to_string(stream));
+  if (!(stream >= 0 && stream < static_cast<StreamId>(streams_.size()))) {
+    throw_error(ErrorCode::kInvalidArgument, "invalid stream id " + std::to_string(stream));
+  }
 }
 
 void Device::copy_h2d(StreamId stream, DeviceBuffer& dst, const void* src, std::size_t bytes,

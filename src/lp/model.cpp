@@ -68,12 +68,19 @@ double LpModel::objective_value(std::span<const double> x) const {
 void LpModel::validate() const {
   for (int j = 0; j < num_cols(); ++j) {
     const auto& c = cols_[static_cast<std::size_t>(j)];
-    check_arg(c.lb <= c.ub, "column " + std::to_string(j) + ": lb > ub");
-    check_arg(std::isfinite(c.obj), "column " + std::to_string(j) + ": non-finite objective");
+    if (!(c.lb <= c.ub)) {
+      throw_error(ErrorCode::kInvalidArgument, "column " + std::to_string(j) + ": lb > ub");
+    }
+    if (!std::isfinite(c.obj)) {
+      throw_error(ErrorCode::kInvalidArgument,
+                  "column " + std::to_string(j) + ": non-finite objective");
+    }
   }
   for (int i = 0; i < num_rows(); ++i) {
     const auto& r = rows_[static_cast<std::size_t>(i)];
-    check_arg(r.lb <= r.ub, "row " + std::to_string(i) + ": lb > ub");
+    if (!(r.lb <= r.ub)) {
+      throw_error(ErrorCode::kInvalidArgument, "row " + std::to_string(i) + ": lb > ub");
+    }
   }
   for (const auto& t : entries_) {
     check_arg(t.row >= 0 && t.row < num_rows() && t.col >= 0 && t.col < num_cols(),

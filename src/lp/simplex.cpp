@@ -67,8 +67,9 @@ void SimplexSolver::init_workspace(Workspace& ws, std::span<const double> lb,
   ws.lb.assign(lb.begin(), lb.end());
   ws.ub.assign(ub.begin(), ub.end());
   for (int j = 0; j < n; ++j) {
-    check_arg(ws.lb[static_cast<std::size_t>(j)] <= ws.ub[static_cast<std::size_t>(j)],
-              "solve: lb > ub for variable " + std::to_string(j));
+    if (!(ws.lb[static_cast<std::size_t>(j)] <= ws.ub[static_cast<std::size_t>(j)])) {
+      throw_error(ErrorCode::kInvalidArgument, "solve: lb > ub for variable " + std::to_string(j));
+    }
   }
   // Artificial bounds start [0, inf); they get fixed to 0 once they leave.
   ws.lb.resize(static_cast<std::size_t>(ws.total), 0.0);

@@ -12,9 +12,11 @@ namespace {
 
 void validate_triplets(int rows, int cols, const std::vector<Triplet>& triplets) {
   for (const Triplet& t : triplets) {
-    check_arg(t.row >= 0 && t.row < rows && t.col >= 0 && t.col < cols,
-              "triplet index out of range: (" + std::to_string(t.row) + "," +
-                  std::to_string(t.col) + ")");
+    if (!(t.row >= 0 && t.row < rows && t.col >= 0 && t.col < cols)) {
+      throw_error(ErrorCode::kInvalidArgument, "triplet index out of range: (" +
+                                                   std::to_string(t.row) + "," +
+                                                   std::to_string(t.col) + ")");
+    }
   }
 }
 

@@ -17,22 +17,13 @@ const char* error_code_name(ErrorCode code) noexcept {
   return "Unknown";
 }
 
-namespace {
-std::string with_location(const std::string& message, const std::source_location& loc) {
-  return message + " [" + loc.file_name() + ":" + std::to_string(loc.line()) + "]";
-}
-}  // namespace
-
-void check_arg(bool cond, const std::string& message, std::source_location loc) {
-  if (!cond) throw Error(ErrorCode::kInvalidArgument, with_location(message, loc));
-}
-
-void check_internal(bool cond, const std::string& message, std::source_location loc) {
-  if (!cond) throw Error(ErrorCode::kInternal, with_location(message, loc));
-}
-
-void check_protocol(bool cond, const std::string& message, std::source_location loc) {
-  if (!cond) throw Error(ErrorCode::kProtocolError, with_location(message, loc));
+void throw_error(ErrorCode code, std::string_view message, std::source_location loc) {
+  throw Error(code, std::string(message)
+                        .append(" [")
+                        .append(loc.file_name())
+                        .append(":")
+                        .append(std::to_string(loc.line()))
+                        .append("]"));
 }
 
 namespace detail {

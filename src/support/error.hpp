@@ -8,6 +8,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace gpumip {
 
@@ -52,20 +53,36 @@ class NumericalError : public Error {
       : Error(ErrorCode::kNumericalFailure, message) {}
 };
 
+/// Throws Error(code) whose message is `message [file:line]`. The
+/// out-of-line slow path of the checks below; call it directly when the
+/// message has to be formatted, so the formatting runs only on failure:
+///   if (!(lb <= ub)) throw_error(ErrorCode::kInvalidArgument, "row " + std::to_string(i));
+[[noreturn]] void throw_error(ErrorCode code, std::string_view message,
+                              std::source_location loc = std::source_location::current());
+
+// A passing check costs one predictable branch and allocates nothing: the
+// message is a view, and the error text is built only when the check fails.
+
 /// Throws Error(kInvalidArgument) with location info when `cond` is false.
-void check_arg(bool cond, const std::string& message,
-               std::source_location loc = std::source_location::current());
+inline void check_arg(bool cond, std::string_view message,
+                      std::source_location loc = std::source_location::current()) {
+  if (!cond) [[unlikely]] throw_error(ErrorCode::kInvalidArgument, message, loc);
+}
 
 /// Throws Error(kInternal) with location info when `cond` is false.
 /// Used for invariants that indicate a library bug, not misuse.
-void check_internal(bool cond, const std::string& message,
-                    std::source_location loc = std::source_location::current());
+inline void check_internal(bool cond, std::string_view message,
+                           std::source_location loc = std::source_location::current()) {
+  if (!cond) [[unlikely]] throw_error(ErrorCode::kInternal, message, loc);
+}
 
 /// Throws Error(kProtocolError) with location info when `cond` is false.
 /// Used by wire deserializers: a payload that fails structural validation
 /// (trailing bytes, impossible length header) is a protocol error, not a
 /// caller bug — it signals version skew or corruption between ranks.
-void check_protocol(bool cond, const std::string& message,
-                    std::source_location loc = std::source_location::current());
+inline void check_protocol(bool cond, std::string_view message,
+                           std::source_location loc = std::source_location::current()) {
+  if (!cond) [[unlikely]] throw_error(ErrorCode::kProtocolError, message, loc);
+}
 
 }  // namespace gpumip

@@ -160,6 +160,17 @@ TEST(ReportCompare, MissingFailsNewWarnsExcludedNeverFail) {
                                                           {"gpumip.mip.extra", 1.0}}));
   EXPECT_TRUE(grown.failures.empty());
   EXPECT_EQ(grown.warnings.size(), 1u);
+
+  // A bench only the current run has is not judged, but it warns so the
+  // baseline gets regenerated.
+  BenchDoc added = one_bench({{"gpumip.mip.nodes", 10.0}});
+  added.benches["added"] = added.benches["bench"];
+  const Comparison new_bench = reporttool::compare(one_bench({{"gpumip.mip.nodes", 10.0}}), added);
+  EXPECT_TRUE(new_bench.failures.empty());
+  ASSERT_EQ(new_bench.warnings.size(), 1u);
+  EXPECT_EQ(new_bench.warnings[0],
+            "new bench added (regenerate the baseline to start tracking it)");
+  EXPECT_EQ(new_bench.compared, 1);
 }
 
 TEST(ReportAttribution, MissingMetricScoresAgainstZeroAndIdenticalRunsAreClean) {

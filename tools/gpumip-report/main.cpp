@@ -91,12 +91,14 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto take = [&](std::string& out, const char* what) {
+      const char* value = next(what);
+      if (value != nullptr) out = value;
+      return value != nullptr;
+    };
     auto run_pair = [&](std::vector<std::string>& paths) {
-      const char* base = next("BASE.json CURRENT.json");
-      const char* current = base == nullptr ? nullptr : next("CURRENT.json");
-      if (current == nullptr) return false;
-      paths = {base, current};
-      return true;
+      paths.resize(2);
+      return take(paths[0], "BASE.json CURRENT.json") && take(paths[1], "CURRENT.json");
     };
     if (arg == "--self-check") {
       self_check = true;
@@ -105,21 +107,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--attribute") {
       if (!run_pair(attribute_paths)) return 2;
     } else if (arg == "--expect-top") {
-      const char* category = next("a category id");
-      if (category == nullptr) return 2;
-      expect_top = category;
+      if (!take(expect_top, "a category id")) return 2;
     } else if (arg == "--metrics") {
-      const char* path = next("a metrics/bench-baseline JSON path");
-      if (path == nullptr) return 2;
-      metrics_path = path;
+      if (!take(metrics_path, "a metrics/bench-baseline JSON path")) return 2;
     } else if (arg == "--timeseries") {
-      const char* path = next("a gpumip.timeseries.v1 JSON path");
-      if (path == nullptr) return 2;
-      timeseries_path = path;
+      if (!take(timeseries_path, "a gpumip.timeseries.v1 JSON path")) return 2;
     } else if (arg == "--trace") {
-      const char* path = next("a trace-event JSON path");
-      if (path == nullptr) return 2;
-      trace_path = path;
+      if (!take(trace_path, "a trace-event JSON path")) return 2;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: gpumip-report --self-check [--trace TRACE.json]\n"
                    "       gpumip-report --compare BASE.json CURRENT.json\n"

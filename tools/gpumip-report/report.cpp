@@ -340,16 +340,15 @@ Attribution attribute(const BenchDoc& base, const BenchDoc& current) {
     }
   };
 
+  static const MetricsSnapshot kEmpty;
   for (const auto& [bench, base_snap] : base.benches) {
     const auto cur_it = current.benches.find(bench);
-    static const MetricsSnapshot kEmpty;
     const MetricsSnapshot& cur_snap = cur_it == current.benches.end() ? kEmpty : cur_it->second;
     score_kind(bench, base_snap.counters, cur_snap.counters);
     score_kind(bench, base_snap.gauges, cur_snap.gauges);
   }
   for (const auto& [bench, cur_snap] : current.benches) {
     if (base.benches.find(bench) != base.benches.end()) continue;
-    static const MetricsSnapshot kEmpty;
     score_kind(bench, kEmpty.counters, cur_snap.counters);
     score_kind(bench, kEmpty.gauges, cur_snap.gauges);
   }
@@ -415,6 +414,11 @@ Comparison compare(const BenchDoc& base, const BenchDoc& current) {
     };
     judge("counter", base_snap.counters, cur_it->second.counters);
     judge("gauge", base_snap.gauges, cur_it->second.gauges);
+  }
+  for (const auto& [bench, cur_snap] : current.benches) {
+    if (base.benches.count(bench) != 0) continue;
+    out.warnings.push_back("new bench " + bench +
+                           " (regenerate the baseline to start tracking it)");
   }
   return out;
 }

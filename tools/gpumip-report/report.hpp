@@ -145,7 +145,7 @@ Attribution attribute(const BenchDoc& base, const BenchDoc& current);
 
 struct Comparison {
   std::vector<std::string> failures;  ///< one line per regressed or missing entry
-  std::vector<std::string> warnings;  ///< metrics new in the current run
+  std::vector<std::string> warnings;  ///< benches and metrics new in the current run
   long compared = 0;                  ///< metrics judged against a limit
 };
 
@@ -158,7 +158,7 @@ struct Comparison {
 /// counter: supervised outcomes are schedule-independent but event counts
 /// are not. Names `category_of` excludes and {…rank=N…} splits are
 /// skipped. A bench or metric of `base` missing from `current` fails; a
-/// metric new in `current` only warns.
+/// bench or metric new in `current` only warns.
 Comparison compare(const BenchDoc& base, const BenchDoc& current);
 
 // ---- rendering -------------------------------------------------------------
