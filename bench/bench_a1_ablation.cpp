@@ -12,7 +12,6 @@
 //   - E3: the eta-vs-refactorize advantage.
 #include "bench/common.hpp"
 #include "linalg/device_blas.hpp"
-#include "lp/op_stats.hpp"
 #include "parallel/strategies.hpp"
 #include "problems/generators.hpp"
 #include "support/strings.hpp"
@@ -50,26 +49,8 @@ void strategy_ordering() {
   }
 }
 
-double crossover_for(const gpu::CostModelConfig& device) {
-  const int m = 512, n = 768;
-  double prev = 0.0;
-  for (double density = 0.01; density <= 1.0; density += 0.01) {
-    lp::LpOpStats ops;
-    ops.m = m;
-    ops.n = n;
-    ops.nnz = static_cast<long>(density * m * n);
-    ops.iterations = 2L * m;
-    ops.ftran = ops.btran = ops.price_full = ops.eta_updates = ops.iterations;
-    ops.refactor = ops.iterations / 64 + 1;
-    gpu::Device dd(device), ds(device);
-    lp::charge_to_device(dd, 0, ops, false);
-    lp::charge_to_device(ds, 0, ops, true);
-    const bool sparse_wins = ds.synchronize() < dd.synchronize();
-    if (!sparse_wins) return prev;
-    prev = density;
-  }
-  return 1.0;
-}
+/// E6's production-scale shape.
+constexpr int kE6Rows = 512, kE6Cols = 768;
 
 void crossover_sensitivity() {
   bench::title("A1-b", "E6's dense/sparse crossover vs cost-model parameters");
@@ -77,13 +58,15 @@ void crossover_sensitivity() {
   for (double eff : {0.015, 0.03, 0.06, 0.12, 0.24}) {
     gpu::CostModelConfig device;
     device.sparse_efficiency = eff;
-    bench::row("  %-22.3f %-12.2f", eff, crossover_for(device));
+    bench::row("  %-22.3f %-12.2f", eff,
+               bench::dense_sparse_crossover(device, kE6Rows, kE6Cols));
   }
   bench::row("  %-22s %-12s", "divergence_penalty", "crossover");
   for (double penalty : {1.5, 3.0, 6.0}) {
     gpu::CostModelConfig device;
     device.divergence_penalty = penalty;
-    bench::row("  %-22.1f %-12.2f", penalty, crossover_for(device));
+    bench::row("  %-22.1f %-12.2f", penalty,
+               bench::dense_sparse_crossover(device, kE6Rows, kE6Cols));
   }
   bench::note("at production shapes SpMV is BANDWIDTH-bound (as on real GPUs), so the");
   bench::note("compute-efficiency knob barely moves the crossover unless it collapses the");
@@ -128,7 +111,7 @@ void eta_advantage_sensitivity() {
 void BM_crossover(benchmark::State& state) {
   gpu::CostModelConfig device;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crossover_for(device));
+    benchmark::DoNotOptimize(bench::dense_sparse_crossover(device, kE6Rows, kE6Cols));
   }
 }
 BENCHMARK(BM_crossover)->Unit(benchmark::kMillisecond);

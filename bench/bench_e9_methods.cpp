@@ -52,9 +52,11 @@ void three_way_sequential() {
       lp::LpResult ri = ipm.solve_default();
       lp::PdhgSolver pdhg(form, popts);
       lp::LpResult rp = pdhg.solve_default();
+      // The kernel path follows the method: simplex and IPM price on the
+      // dense backend, PDHG's SpMV passes are sparse.
       auto replay = [&](const lp::LpOpStats& ops) {
         gpu::Device device;
-        lp::charge_to_device(device, 0, ops, density < 0.3);
+        lp::charge_to_device(device, 0, ops);
         return device.synchronize();
       };
       const double s_spx = replay(rs.ops), s_ipm = replay(ri.ops), s_pdhg = replay(rp.ops);
@@ -127,7 +129,7 @@ void three_way_batched() {
       gpu::Device device;
       for (const lp::StandardForm* form : views) {
         lp::InteriorPointSolver ipm(*form);
-        lp::charge_to_device(device, 0, ipm.solve_default().ops, cell.density < 0.3);
+        lp::charge_to_device(device, 0, ipm.solve_default().ops);
       }
       s_ipm = device.synchronize();
     }

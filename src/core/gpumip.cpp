@@ -51,9 +51,6 @@ SolveReport Solver::solve(const mip::MipModel& model) const {
     working = &reduced_model;
   }
 
-  // ---- LP code-path decision (paper section 5.4) ----
-  report.lp_path = lp::choose_path(working->lp().matrix());
-
   // ---- solve ----
   if (options_.workers > 0) {
     parallel::SupervisorOptions sup = options_.supervisor;

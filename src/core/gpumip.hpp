@@ -53,9 +53,6 @@ struct SolveReport {
   double bound = 0.0;
   double gap = 0.0;
 
-  /// Code path lp::choose_path picks for the (presolved) constraint matrix
-  /// (paper section 5.4).
-  lp::CodePath lp_path = lp::CodePath::DenseGpu;
   mip::MipStats stats;
   mip::TreeAnatomy anatomy;   ///< Figure-1 style tree census
 

@@ -123,12 +123,12 @@ double inf_norm(std::span<const double> v) {
   return worst;
 }
 
-/// Solves (A diag(d) Aᵀ + ridge I) out = rhs by dense Cholesky (the
-/// m³/3 kernel lp::charge_to_device prices). Throws NumericalError when
-/// hopeless.
-linalg::Vector solve_normal_equations(const NonnegForm& nf, const linalg::Vector& d,
-                                      const linalg::Vector& rhs, LpOpStats& ops,
-                                      const linalg::Vector* rhs2, linalg::Vector* out2) {
+/// Forms A diag(d) Aᵀ and factors it (+ ridge I) by dense Cholesky, the
+/// m³/3 kernel lp::charge_to_device prices. One factor serves every solve
+/// with the same d (Mehrotra's predictor and corrector). Throws
+/// NumericalError when hopeless.
+linalg::DenseCholesky factor_normal_equations(const NonnegForm& nf, const linalg::Vector& d,
+                                              LpOpStats& ops) {
   const int m = nf.a.rows;
   linalg::Matrix mmat(m, m);
   // M = Σ_j d_j a_j a_jᵀ via the column view.
@@ -156,8 +156,7 @@ linalg::Vector solve_normal_equations(const NonnegForm& nf, const linalg::Vector
     try {
       linalg::DenseCholesky chol(mmat, ridge);
       ++ops.cholesky;
-      if (rhs2 != nullptr && out2 != nullptr) *out2 = chol.solve(*rhs2);
-      return chol.solve(rhs);
+      return chol;
     } catch (const NumericalError&) {
       ridge = ridge == 0.0 ? 1e-12 * (1.0 + inf_norm({mmat.data(), mmat.size()}))
                            : ridge * 1e4;
@@ -203,9 +202,9 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
   try {
     linalg::Vector ones_d(static_cast<std::size_t>(n), 1.0);
     const linalg::Vector ac = matvec(nf.c);
-    linalg::Vector yhat;
-    const linalg::Vector xb =
-        solve_normal_equations(nf, ones_d, nf.b, result.ops, &ac, &yhat);
+    const linalg::DenseCholesky chol = factor_normal_equations(nf, ones_d, result.ops);
+    const linalg::Vector yhat = chol.solve(ac);
+    const linalg::Vector xb = chol.solve(nf.b);
     linalg::Vector xhat = matvec_t(xb);
     linalg::Vector shat = nf.c;
     const linalg::Vector aty = matvec_t(yhat);
@@ -330,8 +329,9 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
         rmu_aff[k] = -x[k] * s[k];
       }
       const linalg::Vector rhs_aff = assemble_rhs(rmu_aff);
-      linalg::Vector dy_aff =
-          solve_normal_equations(nf, d, rhs_aff, result.ops, nullptr, nullptr);
+      // One factorization serves both the predictor and the corrector.
+      const linalg::DenseCholesky chol = factor_normal_equations(nf, d, result.ops);
+      const linalg::Vector dy_aff = chol.solve(rhs_aff);
       linalg::Vector dx_aff, ds_aff;
       recover_steps(dy_aff, rmu_aff, dx_aff, ds_aff);
       const double ap_aff = step_length(x, dx_aff);
@@ -351,7 +351,7 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
         rmu[k] = -x[k] * s[k] + sigma * mu - dx_aff[k] * ds_aff[k];
       }
       const linalg::Vector rhs = assemble_rhs(rmu);
-      linalg::Vector dy = solve_normal_equations(nf, d, rhs, result.ops, nullptr, nullptr);
+      const linalg::Vector dy = chol.solve(rhs);
       linalg::Vector dx, ds;
       recover_steps(dy, rmu, dx, ds);
       const double ap = step_length(x, dx);

@@ -2,7 +2,8 @@
 //
 // The paper (section 2.3) notes interior-point methods are the preferred
 // family for sparse real-world LPs. The normal-equations system A D Aᵀ is
-// factorized by dense Cholesky each iteration on either code path; the
+// factorized by dense Cholesky once per iteration (the predictor and the
+// corrector share the factor); IPM runs on the dense backend, and the
 // device model prices each factorization as the dense m³/3 kernel
 // (lp::charge_to_device). Experiment E9 compares this engine against the
 // simplex.

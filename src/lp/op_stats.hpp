@@ -64,10 +64,14 @@ double cpu_seconds(const LpOpStats& stats, const CpuCostModel& cpu = {});
 void publish_op_stats(const LpOpStats& stats);
 
 /// Replays the recorded operations as device kernel launches on `stream`
-/// (empty bodies; the numerics already ran). `sparse_pricing` selects
-/// whether pricing passes are charged at sparse or dense rates.
+/// (empty bodies; the numerics already ran). The kernel path follows the
+/// method (lp/path_chooser.hpp): simplex and IPM run on the dense backend,
+/// so pricing passes are charged as dense m x n kernels by default, and
+/// PDHG's SpMV passes are always sparse. `sparse_pricing` = true charges
+/// the pricing passes at sparse rates instead: the cost-model ablation
+/// (benches E6 and A1-b) that locates the dense/sparse crossover.
 void charge_to_device(gpu::Device& device, gpu::StreamId stream, const LpOpStats& stats,
-                      bool sparse_pricing);
+                      bool sparse_pricing = false);
 
 /// Device memory (bytes) the dense-GPU LP backend keeps resident for a
 /// standard form of shape (m, n, nnz): dense A (m*n), B⁻¹ (m*m), and

@@ -1,17 +1,11 @@
 #include "lp/path_chooser.hpp"
 
-#include <algorithm>
-
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 
 namespace gpumip::lp {
 
 namespace {
-
-/// Matrices with a dimension at most this small always take the dense path
-/// (latency dominates).
-constexpr int kSmallDimension = 64;
 
 /// PDHG is only competitive when its per-wave nnz traffic undercuts the
 /// competition; above this density the SpMV advantage is gone.
@@ -35,19 +29,6 @@ constexpr int kIpmMinRows = 48;
 constexpr double kPdhgTolMin = 1e-8;
 
 }  // namespace
-
-const char* code_path_name(CodePath path) noexcept {
-  switch (path) {
-    case CodePath::DenseGpu: return "DenseGpu";
-    case CodePath::SparseHybrid: return "SparseHybrid";
-  }
-  return "Unknown";
-}
-
-CodePath choose_path(const sparse::Csr& a) {
-  if (std::min(a.rows, a.cols) <= kSmallDimension) return CodePath::DenseGpu;
-  return a.density() >= kDensePathDensity ? CodePath::DenseGpu : CodePath::SparseHybrid;
-}
 
 const char* lp_method_name(LpMethod method) noexcept {
   switch (method) {

@@ -1,21 +1,19 @@
-// Runtime method- and code-path decisions (paper sections 2.3, 5.4 and
-// claims C6/C7): the "super-MIP-solver" inspects the instance at solve time
-// and routes it twice —
+// Runtime LP-method decision (paper sections 2.3, 5.4 and claims C6/C7):
+// the "super-MIP-solver" inspects the instance at solve time and
+// choose_method() picks WHICH LP algorithm solves it (dual simplex,
+// interior point, or restarted PDHG). The decision table lives in
+// docs/METHODS.md; it keys on warm-start availability, batch occupancy,
+// matrix density, and size.
 //
-//   1. choose_method(): WHICH LP algorithm solves it (dual simplex,
-//      interior point, or restarted PDHG). The three-way decision table
-//      lives in docs/METHODS.md; it keys on warm-start availability, batch
-//      occupancy, matrix density, and size.
-//   2. choose_path(): WHERE the chosen method's linear algebra runs
-//      (dense-GPU kernels vs sparse-hybrid). This is the one dense/sparse
-//      decision; the facade reports it as SolveReport::lp_path. The LP
-//      engines themselves factor densely (simplex B⁻¹, IPM Cholesky of
-//      A D Aᵀ), and lp::charge_to_device prices those factorizations as
-//      dense kernels on either path.
+// The method also fixes WHERE its linear algebra runs, so this is the one
+// dense-vs-sparse decision (claim C6): PDHG runs on matrix-free sparse
+// kernels (SpMV over the CSR), while simplex (B⁻¹) and IPM (Cholesky of
+// A D Aᵀ) run on the dense backend and lp::charge_to_device prices them as
+// dense kernels. The density gate of steps 3-4 (kPdhgDensityMax) is
+// therefore where a sparse matrix is routed to sparse kernels.
 //
-// The thresholds both decisions key on are named constants, each next to
-// the measurement that set it: kDensePathDensity below (bench E6 prints
-// it), the rest in path_chooser.cpp.
+// The thresholds the decision keys on are named constants in
+// path_chooser.cpp, each next to the measurement that set it.
 //
 // Every choose_method() decision is exported as gpumip.lp.method.* counters
 // and a gpumip.lp.method.choice trace instant so bench_e9_methods can show
@@ -27,26 +25,6 @@
 #include "sparse/formats.hpp"
 
 namespace gpumip::lp {
-
-enum class CodePath {
-  DenseGpu,      ///< dense kernels on the device
-  SparseHybrid,  ///< sparse kernels, setup stages on the CPU
-};
-
-const char* code_path_name(CodePath path) noexcept;
-
-/// Density at and above which choose_path() picks the dense path. It
-/// matches the measured crossover of the cost model (bench E6): the sparse
-/// kernel's efficiency/divergence penalty (~3.3x per nonzero vs the
-/// bandwidth-bound dense kernel) puts the break-even near 30%.
-inline constexpr double kDensePathDensity = 0.30;
-
-/// Decides the code path for a constraint matrix: dense when either
-/// dimension is at most 64 (latency dominates) or the density is at least
-/// kDensePathDensity, sparse otherwise.
-CodePath choose_path(const sparse::Csr& a);
-
-// ---- three-way LP method selection -----------------------------------------
 
 enum class LpMethod {
   Simplex,        ///< (dual) simplex: exact vertex + basis, warm-start king

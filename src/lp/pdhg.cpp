@@ -18,6 +18,11 @@ namespace {
 constexpr double kStepScale = 0.95;
 /// Relative tolerance of the Farkas ray checks.
 constexpr double kCertificateTol = 1e-6;
+/// Restart when the KKT score has decayed to this fraction of the score at
+/// the last restart (PDLP's sufficient-decay factor).
+constexpr double kRestartFactor = 0.5;
+/// Force a restart after this many iterations without one.
+constexpr long kRestartMaxInterval = 2000;
 
 }  // namespace
 
@@ -301,8 +306,8 @@ LpStatus PdhgSolver::iterate_loop(Workspace& ws) const {
 
     // Restart to the better candidate once it has decayed enough relative
     // to the last restart point, or when a restart is overdue.
-    if (score <= options_.restart_factor * ws.last_restart_score ||
-        ws.since_restart >= options_.restart_max_interval) {
+    if (score <= kRestartFactor * ws.last_restart_score ||
+        ws.since_restart >= kRestartMaxInterval) {
       if (&cand_x != &ws.x) std::copy(cand_x.begin(), cand_x.end(), ws.x.begin());
       if (&cand_y != &ws.y) std::copy(cand_y.begin(), cand_y.end(), ws.y.begin());
       std::copy(ws.x.begin(), ws.x.end(), ws.x_anchor.begin());

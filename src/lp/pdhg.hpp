@@ -24,8 +24,9 @@
 // ergodic sequence, which converges faster than the last iterate) and
 // every kPdhgCheckInterval iterations scores both candidates with the
 // normalized KKT residual (primal residual, dual residual, duality gap).
-// When the better candidate has decayed below restart_factor × the score
-// at the last restart — or a restart is overdue — the iteration restarts
+// When the better candidate has decayed below kRestartFactor × the score
+// at the last restart — or kRestartMaxInterval iterations have passed
+// since it (both named constants in pdhg.cpp) — the iteration restarts
 // from that candidate. This is the PDLP restart scheme that turns PDHG's
 // O(1/k) tail into linear convergence on LPs.
 //
@@ -52,8 +53,6 @@ inline constexpr int kPdhgCheckInterval = 40;
 struct PdhgOptions {
   double tol = 1e-6;            ///< normalized KKT target (res_p, res_d, gap)
   long max_iterations = 100000;
-  double restart_factor = 0.5;  ///< restart when score ≤ factor × last restart score
-  long restart_max_interval = 2000;  ///< force a restart after this many iterations
 };
 
 /// Parent iterates to warm-start from (spans must outlive the solve call).

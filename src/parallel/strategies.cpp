@@ -85,7 +85,7 @@ void replay_s1(const mip::BnbSolver& solver, const lp::StandardForm& form,
       for (long it = 0; it < 2 * std::max<long>(node.ops.iterations, 1); ++it) {
         device.launch(0, control, {});
       }
-      lp::charge_to_device(device, 0, node.ops, /*sparse_pricing=*/false);
+      lp::charge_to_device(device, 0, node.ops);
     }
     // Result download.
     std::vector<double> solution(static_cast<std::size_t>(form.num_struct), 0.0);
@@ -135,7 +135,7 @@ void replay_s2_s3(const mip::BnbSolver& solver, const lp::StandardForm& form,
         device.copy_h2d(0, lp_buf, full_bounds.data(), full_bounds.size() * sizeof(double));
         device.copy_h2d(0, lp_buf, basis_image.data(), basis_image.size());
       }
-      lp::charge_to_device(device, 0, ops, /*sparse_pricing=*/false);
+      lp::charge_to_device(device, 0, ops);
       // Objective/solution readback per node (small).
       double obj = 0.0;
       device.copy_d2h(0, lp_buf, &obj, sizeof(obj));

@@ -80,12 +80,6 @@ TEST(Facade, StrategySelectionWorks) {
   }
 }
 
-TEST(Facade, AutoBackendPicksDenseForSmall) {
-  Solver solver;
-  SolveReport report = solver.solve(small_mip());
-  EXPECT_EQ(report.lp_path, lp::CodePath::DenseGpu);
-}
-
 TEST(Facade, SupervisedModeMatchesSequential) {
   Rng rng(500);
   RandomMipConfig cfg;

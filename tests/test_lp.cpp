@@ -4,7 +4,6 @@
 
 #include "lp/interior_point.hpp"
 #include "lp/model.hpp"
-#include "lp/path_chooser.hpp"
 #include "lp/presolve.hpp"
 #include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
@@ -397,6 +396,10 @@ TEST_P(RandomLpAgreement, SimplexAndIpmAgree) {
   ASSERT_EQ(ir.status, LpStatus::Optimal);
   EXPECT_NEAR(sr.objective, ir.objective, 1e-4 * (1.0 + std::fabs(sr.objective)));
   expect_optimal_kkt(form, sr);
+  // The predictor and the corrector share one factorization of A D Aᵀ: one
+  // for the starting point, one per iteration but the last, which only
+  // checks convergence.
+  EXPECT_EQ(ir.ops.cholesky, 1 + (ir.ops.iterations - 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomLpAgreement, ::testing::Range(0, 12));
@@ -433,7 +436,17 @@ TEST(OpStats, ChargeToDeviceLaunchesKernels) {
   gpu::Device dev;
   charge_to_device(dev, 0, stats, /*sparse_pricing=*/true);
   EXPECT_EQ(dev.stats().kernels, 10u + 10 + 10 + 9 + 1);
-  EXPECT_GT(dev.synchronize(), 0.0);
+  const double sparse_priced = dev.synchronize();
+  EXPECT_GT(sparse_priced, 0.0);
+  // Production charges omit the flag: pricing runs on the dense backend.
+  // With nnz < m·n the dense pricing pass costs differ from the sparse one.
+  ASSERT_LT(stats.nnz, static_cast<long>(stats.m) * stats.n);
+  gpu::Device by_default, dense;
+  charge_to_device(by_default, 0, stats);
+  charge_to_device(dense, 0, stats, /*sparse_pricing=*/false);
+  const double default_priced = by_default.synchronize();
+  EXPECT_EQ(default_priced, dense.synchronize());
+  EXPECT_NE(default_priced, sparse_priced);
 }
 
 // ---------- presolve ----------
@@ -506,41 +519,6 @@ TEST(Presolve, PreservesOptimum) {
   // Same objective once the fixed column's cost contribution is added back.
   Vector full = pr.postsolve(std::span<const double>(reduced.x.data(), pr.reduced.num_cols()));
   EXPECT_NEAR(m.objective_value(full), direct.objective, 1e-6);
-}
-
-// ---------- path chooser ----------
-
-/// rows x cols matrix with exactly `nnz` nonzeros spread evenly over the rows.
-sparse::Csr exact_nnz_csr(int rows, int cols, int nnz) {
-  std::vector<sparse::Triplet> t;
-  for (int k = 0; k < nnz; ++k) t.push_back({k % rows, (k / rows + k % rows) % cols, 1.0});
-  return sparse::csr_from_triplets(rows, cols, t);
-}
-
-TEST(PathChooser, RoutesByDensityAndSize) {
-  Rng rng(505);
-  // Small matrix: always dense regardless of sparsity.
-  std::vector<sparse::Triplet> t;
-  for (int i = 0; i < 20; ++i) t.push_back({i, i, 1.0});
-  EXPECT_EQ(choose_path(sparse::csr_from_triplets(20, 20, t)), CodePath::DenseGpu);
-  // Large sparse: sparse path.
-  t.clear();
-  for (int i = 0; i < 300; ++i) t.push_back({i, i, 1.0});
-  EXPECT_EQ(choose_path(sparse::csr_from_triplets(300, 300, t)), CodePath::SparseHybrid);
-  // Large dense: dense path.
-  t.clear();
-  for (int i = 0; i < 300; ++i) {
-    for (int j = 0; j < 300; j += 3) t.push_back({i, j, 1.0});
-  }
-  EXPECT_EQ(choose_path(sparse::csr_from_triplets(300, 300, t)), CodePath::DenseGpu);
-  // Boundaries: a dimension of 64 is still small, 65 is not; density 0.30
-  // is dense, one nonzero fewer is sparse.
-  EXPECT_EQ(choose_path(exact_nnz_csr(64, 300, 300)), CodePath::DenseGpu);
-  EXPECT_EQ(choose_path(exact_nnz_csr(300, 64, 300)), CodePath::DenseGpu);
-  EXPECT_EQ(choose_path(exact_nnz_csr(65, 300, 300)), CodePath::SparseHybrid);
-  EXPECT_EQ(choose_path(exact_nnz_csr(300, 65, 300)), CodePath::SparseHybrid);
-  EXPECT_EQ(choose_path(exact_nnz_csr(100, 100, 3000)), CodePath::DenseGpu);
-  EXPECT_EQ(choose_path(exact_nnz_csr(100, 100, 2999)), CodePath::SparseHybrid);
 }
 
 // ---------- standard form ----------

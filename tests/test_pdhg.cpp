@@ -171,19 +171,6 @@ TEST(Pdhg, RestartsFireAndAreCounted) {
   EXPECT_EQ(r.ops.iterations, r.iterations);
 }
 
-TEST(Pdhg, TighterRestartFactorStillConverges) {
-  LpModel m;
-  m.set_sense(Sense::Maximize);
-  const int x = m.add_col(3.0), y = m.add_col(5.0);
-  m.add_row_le({{x, 1.0}}, 4.0);
-  m.add_row_le({{y, 2.0}}, 12.0);
-  m.add_row_le({{x, 3.0}, {y, 2.0}}, 18.0);
-  PdhgOptions aggressive;
-  aggressive.restart_factor = 0.9;  // restart almost every time progress shows
-  aggressive.restart_max_interval = 200;
-  expect_objective_near(solve_pdhg(m, aggressive), -36.0, 1e-4);
-}
-
 // ---------- warm start ----------
 
 TEST(Pdhg, WarmStartFromOptimumIsCheap) {
