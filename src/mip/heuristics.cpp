@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "lp/standard_form.hpp"
+#include "mip/branching.hpp"
 
 namespace gpumip::mip {
 
@@ -45,18 +46,7 @@ HeuristicResult diving_heuristic(const MipModel& model, const lp::StandardForm& 
   lp::LpResult current = relaxation;
 
   for (int dive = 0; dive < max_dives; ++dive) {
-    // Find the most fractional integer variable.
-    int var = -1;
-    double best_dist = int_tol;
-    for (int j = 0; j < model.num_cols(); ++j) {
-      if (!model.is_integer(j)) continue;
-      const double v = current.x[static_cast<std::size_t>(j)];
-      const double dist = std::fabs(v - std::round(v));
-      if (dist > best_dist) {
-        best_dist = dist;
-        var = j;
-      }
-    }
+    const int var = most_fractional(current.x, model.integer_flags(), int_tol);
     if (var < 0) {
       // Integral: accept.
       result.found = true;

@@ -6,6 +6,8 @@
 #include "gpu/arena.hpp"
 #include "gpu/device.hpp"
 #include "lp/op_stats.hpp"
+#include "mip/branching.hpp"
+#include "mip/cuts.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "support/assert.hpp"
@@ -63,7 +65,7 @@ void BnbSolver::root_cut_loop() {
     // --trace aggregates these into the cut-latency report).
     GPUMIP_TRACE_SCOPE("gpumip.mip.cuts.round", round);
     form_ = std::make_unique<lp::StandardForm>(lp::build_standard_form(model_.lp()));
-    lp_solver_ = std::make_unique<lp::SimplexSolver>(*form_, options_.lp);
+    lp_solver_ = std::make_unique<lp::SimplexSolver>(*form_);
     lp::LpResult root = lp_solver_->solve_default();
     stats_.total_ops.add(root.ops);
     stats_.lp_iterations += root.iterations;
@@ -71,8 +73,8 @@ void BnbSolver::root_cut_loop() {
       return;
     }
 
-    std::vector<Cut> cuts = gomory_cuts(model_, *form_, root, options_.cuts);
-    std::vector<Cut> covers = cover_cuts(model_, root.x, options_.cuts);
+    std::vector<Cut> cuts = gomory_cuts(model_, *form_, root);
+    std::vector<Cut> covers = cover_cuts(model_, root.x);
     cuts.insert(cuts.end(), covers.begin(), covers.end());
     int added = 0;
     std::uint64_t cut_payload = 0;  // bytes a real GPU solver would upload
@@ -97,7 +99,7 @@ void BnbSolver::root_cut_loop() {
   }
   // Rebuild once more so the form includes the last round's cuts.
   form_ = std::make_unique<lp::StandardForm>(lp::build_standard_form(model_.lp()));
-  lp_solver_ = std::make_unique<lp::SimplexSolver>(*form_, options_.lp);
+  lp_solver_ = std::make_unique<lp::SimplexSolver>(*form_);
 }
 
 MipResult BnbSolver::solve() { return run(nullptr); }
@@ -131,7 +133,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
   }
   if (form_ == nullptr) {
     form_ = std::make_unique<lp::StandardForm>(lp::build_standard_form(model_.lp()));
-    lp_solver_ = std::make_unique<lp::SimplexSolver>(*form_, options_.lp);
+    lp_solver_ = std::make_unique<lp::SimplexSolver>(*form_);
   }
   // The alternative relaxation backends work on the same (cut-strengthened)
   // form. Root cut separation itself stays on the simplex path: the GMI
@@ -139,8 +141,6 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
   ipm_solver_ = std::make_unique<lp::InteriorPointSolver>(*form_, options_.ipm);
   pdhg_solver_ = std::make_unique<lp::PdhgSolver>(*form_, options_.pdhg);
   pool_ = std::make_unique<NodePool>(options_.node_selection);
-  pseudocosts_.init(form_->num_vars, form_->c);
-
 
   if (snapshot != nullptr) {
     if (snapshot->has_incumbent()) {
@@ -311,16 +311,6 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
       continue;
     }
 
-    // Pseudocost bookkeeping: this node is a child of `parent` through
-    // branch_var; record the observed degradation.
-    if (node.parent >= 0 && node.branch_var >= 0) {
-      const BnbNode& parent = pool_->node(node.parent);
-      const double delta = lp_result.objective - parent.lp_objective;
-      // Fractionality of the parent's LP value on the branch variable is
-      // not stored per node; 0.5 is the standard stand-in.
-      pseudocosts_.update(node.branch_var, node.branch_up, delta, 0.5);
-    }
-
     if (lp_result.objective - bound_pad >= incumbent_obj_ - 1e-9) {
       pool_->set_state(id, NodeState::PrunedLeaf);
       GPUMIP_TRACE_INSTANT("gpumip.mip.node.pruned", id);
@@ -348,33 +338,8 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     }
     if (node.parent < 0) stats_.root_bound = lp_result.objective;
 
-    // Branch. Strong branching probes need a basis to dual-resolve from;
-    // basis-free methods fall back to the score-only rules inside
-    // select_branch_var.
-    std::function<double(int, bool)> strong_probe;
-    if (options_.branching == BranchRule::Strong && !lp_result.basis.empty()) {
-      strong_probe = [&](int var, bool up) {
-        linalg::Vector lb2 = node.lb, ub2 = node.ub;
-        const double v = lp_result.x[static_cast<std::size_t>(var)];
-        if (up) {
-          lb2[static_cast<std::size_t>(var)] = std::ceil(v);
-        } else {
-          ub2[static_cast<std::size_t>(var)] = std::floor(v);
-        }
-        lp::SimplexOptions probe_opts = options_.lp;
-        probe_opts.max_iterations = 50;
-        lp::SimplexSolver probe(*form_, probe_opts);
-        lp::LpResult r = probe.resolve_dual(lb2, ub2, lp_result.basis);
-        stats_.total_ops.add(r.ops);
-        if (r.status == lp::LpStatus::Infeasible) return 1e30;
-        if (r.status != lp::LpStatus::Optimal && r.status != lp::LpStatus::IterationLimit) {
-          return 0.0;
-        }
-        return std::max(0.0, r.objective - lp_result.objective);
-      };
-    }
-    const int var = select_branch_var(options_.branching, lp_result.x, model_.integer_flags(),
-                                      kIntTol, &pseudocosts_, strong_probe);
+    // Branch on the most fractional integer variable.
+    const int var = most_fractional(lp_result.x, model_.integer_flags(), kIntTol);
     check_internal(var >= 0, "no fractional variable in a non-integral node");
     const double value = lp_result.x[static_cast<std::size_t>(var)];
 

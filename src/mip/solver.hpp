@@ -3,7 +3,8 @@
 // The engine keeps the tree in host memory (the paper's recommended
 // strategy 2 layout), solves each node's LP relaxation with the revised
 // simplex (dual-simplex warm starts from the parent basis), strengthens the
-// root with GMI/cover cuts, and runs primal heuristics for incumbents. All
+// root with GMI/cover cuts, runs primal heuristics for incumbents, and
+// branches on the most fractional integer variable (mip/branching.hpp). All
 // linear algebra performed per node is recorded as a NodeTrace so the
 // strategy layer (parallel/strategies.hpp) can replay it onto simulated
 // GPU/CPU timelines.
@@ -17,8 +18,6 @@
 #include "lp/path_chooser.hpp"
 #include "lp/pdhg.hpp"
 #include "lp/simplex.hpp"
-#include "mip/branching.hpp"
-#include "mip/cuts.hpp"
 #include "mip/heuristics.hpp"
 #include "mip/model.hpp"
 #include "mip/snapshot.hpp"
@@ -43,11 +42,8 @@ const char* mip_status_name(MipStatus status) noexcept;
 struct MipOptions {
   long max_nodes = 200000;
   NodeSelection node_selection = NodeSelection::BestFirst;
-  BranchRule branching = BranchRule::MostFractional;
   bool enable_cuts = true;
-  CutOptions cuts;
   bool enable_heuristics = true;
-  lp::SimplexOptions lp;
   /// Force every node relaxation onto one LP method. Unset: lp::choose_method
   /// picks per node (warm basis -> dual simplex, etc.; see docs/METHODS.md).
   std::optional<lp::LpMethod> lp_method;
@@ -144,7 +140,6 @@ class BnbSolver {
   // Incumbent in min form.
   double incumbent_obj_ = 1e300;
   linalg::Vector incumbent_x_;
-  PseudocostTable pseudocosts_;
 };
 
 /// Solves a MIP by brute-force enumeration over integer assignments with an

@@ -30,8 +30,7 @@ const char* node_selection_name(NodeSelection policy) noexcept {
   return "?";
 }
 
-NodePool::NodePool(NodeSelection policy, double locality_slack)
-    : policy_(policy), locality_slack_(locality_slack) {}
+NodePool::NodePool(NodeSelection policy) : policy_(policy) {}
 
 int NodePool::push(BnbNode node) {
   GPUMIP_ASSERT(node.parent >= -1 && node.parent < static_cast<int>(nodes_.size()),
@@ -94,8 +93,8 @@ int NodePool::pop(int last_evaluated, double best_known) {
       // and factorization hot; take one if its bound is close enough to the
       // best active bound (relative slack).
       const double best_bound = best_active_bound();
-      const double slack = locality_slack_ * (1.0 + std::min(std::abs(best_bound),
-                                                             std::abs(best_known)));
+      const double slack =
+          kLocalitySlack * (1.0 + std::min(std::abs(best_bound), std::abs(best_known)));
       for (std::size_t i = active_.size(); i-- > 0;) {
         if (!live(i)) continue;
         const BnbNode& n = nodes_[static_cast<std::size_t>(active_[i])];

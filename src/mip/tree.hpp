@@ -44,13 +44,18 @@ enum class NodeSelection {
   BestFirst,   ///< lowest bound first (default CPU-solver policy)
   DepthFirst,  ///< LIFO dive
   /// Prefer a child of the most recently evaluated node when its bound is
-  /// within `locality_slack` of the best bound; otherwise best-first.
+  /// within kLocalitySlack (relative) of the best bound; otherwise best-first.
   /// Maximizes device-resident matrix/basis reuse between consecutive LP
   /// solves (fewer host<->device transfers and refactorizations).
   GpuLocality,
 };
 
 const char* node_selection_name(NodeSelection policy) noexcept;
+
+/// GpuLocality's relative slack: a child of the last evaluated node is taken
+/// while its bound is at most best_bound + kLocalitySlack * (1 + min(|best
+/// bound|, |incumbent|)).
+inline constexpr double kLocalitySlack = 0.1;
 
 /// Aggregate tree statistics (the data behind Figure 1).
 struct TreeAnatomy {
@@ -69,8 +74,7 @@ struct TreeAnatomy {
 /// frontier under a selection policy.
 class NodePool {
  public:
-  explicit NodePool(NodeSelection policy = NodeSelection::BestFirst,
-                    double locality_slack = 0.1);
+  explicit NodePool(NodeSelection policy = NodeSelection::BestFirst);
 
   /// Adds a node (takes ownership); returns its id. The node becomes active.
   int push(BnbNode node);
@@ -108,7 +112,6 @@ class NodePool {
 
  private:
   NodeSelection policy_;
-  double locality_slack_;
   std::vector<BnbNode> nodes_;
   std::vector<int> active_;  // ids, maintained as needed per policy
   std::size_t active_count_ = 0;

@@ -1,6 +1,5 @@
 #include "obs/sampler.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -93,7 +92,7 @@ void Sampler::snapshot_baseline() {
   for (std::size_t i = 0; i < columns_.size(); ++i) baseline_[i] = read_column(i);
 }
 
-void Sampler::sample_now(double ts, bool sim_time) {
+void Sampler::sample_now(double ts) {
   if (rows_.size() >= options_.max_samples) {
     ++dropped_;
     GPUMIP_OBS_COUNT("gpumip.obs.sampler.dropped");
@@ -101,7 +100,6 @@ void Sampler::sample_now(double ts, bool sim_time) {
   }
   SampleRow row;
   row.ts = ts;
-  row.sim_time = sim_time;
   row.values.resize(columns_.size());
   for (std::size_t i = 0; i < columns_.size(); ++i) {
     const double cur = read_column(i);
@@ -126,24 +124,8 @@ void Sampler::tick_sim(double sim_now) {
   // Coalesce: one row stamped at the last boundary this tick crossed.
   const double crossed = std::floor((sim_now - next_due_) / options_.period);
   const double stamp = next_due_ + crossed * options_.period;
-  sample_now(stamp, /*sim_time=*/true);
+  sample_now(stamp);
   next_due_ = stamp + options_.period;
-}
-
-void Sampler::tick_wall() {
-  // gpumip-lint: determinism-ok(wall ticks are the documented non-replay-stable clock domain; rows carry sim=false)
-  const auto wall = std::chrono::steady_clock::now().time_since_epoch();
-  const double now = std::chrono::duration<double>(wall).count();
-  if (!wall_started_) {
-    wall_started_ = true;
-    wall_epoch_ = now;
-    wall_last_ = 0.0;
-    return;
-  }
-  const double t = now - wall_epoch_;
-  if (t - wall_last_ < options_.period) return;
-  sample_now(t, /*sim_time=*/false);
-  wall_last_ = t;
 }
 
 std::string Sampler::to_json() const {
@@ -165,7 +147,7 @@ std::string Sampler::to_json() const {
   first = true;
   for (const SampleRow& row : rows_) {
     out << (first ? "\n" : ",\n") << "    {\"ts\": " << json_number(row.ts)
-        << ", \"sim\": " << (row.sim_time ? "true" : "false") << ", \"values\": [";
+        << ", \"sim\": true, \"values\": [";
     for (std::size_t i = 0; i < row.values.size(); ++i) {
       if (i != 0) out << ", ";
       out << json_number(row.values[i]);

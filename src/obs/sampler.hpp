@@ -5,15 +5,13 @@
 // *deltas* since the previous row, so benches can show occupancy ramp-up,
 // tree growth, and wave-size curves over time instead of a single total.
 //
-// Clock domains. Ticks driven by a simulated clock (`tick_sim` with a
-// simmpi rank clock or a gpu::Device stream clock) stamp rows with sim
+// Clock. Ticks come from a simulated clock (`tick_sim` with a simmpi rank
+// clock or a gpu::Device stream clock), so every row is stamped with sim
 // time; because both the tick times and the sampled instruments derive
-// from the deterministic simulation, sim-stamped rows are bit-identical
-// under schedule replay — provided the sampled instruments are mutated
-// only by the sampling thread's deterministic path (the ownership
-// contract; see docs/METRICS.md "Time series"). Threads not bound to a
-// simulated clock use `tick_wall`, whose rows are wall-stamped and
-// explicitly not replay-stable.
+// from the deterministic simulation, rows are bit-identical under
+// schedule replay — provided the sampled instruments are mutated only by
+// the sampling thread's deterministic path (the ownership contract; see
+// docs/METRICS.md "Time series").
 //
 // Threading. A Sampler is owned by one sampling thread at a time: ticks
 // and export are not internally synchronized (registry reads are relaxed
@@ -31,7 +29,7 @@
 namespace gpumip::obs {
 
 struct SamplerOptions {
-  /// Seconds (sim or wall, per tick domain) between rows. Ticks arriving
+  /// Simulated seconds between rows. Ticks arriving
   /// faster than this are coalesced; a tick that crosses several
   /// boundaries at once emits one row stamped at the last boundary.
   double period = 1e-3;
@@ -55,8 +53,7 @@ struct SamplerColumn {
 };
 
 struct SampleRow {
-  double ts = 0.0;      ///< sim seconds, or wall seconds since first wall tick
-  bool sim_time = true;
+  double ts = 0.0;  ///< sim seconds
   std::vector<double> values;  ///< one entry per column (delta or level)
 };
 
@@ -67,10 +64,8 @@ class Sampler {
   /// Appends a row if `sim_now` crossed a period boundary since the last
   /// row (coalescing multiple crossed boundaries into one row).
   void tick_sim(double sim_now);
-  /// Wall-clock variant for threads with no simulated clock.
-  void tick_wall();
-  /// Unconditional sample (used by the ticks and by tests).
-  void sample_now(double ts, bool sim_time);
+  /// Unconditional sample stamped `ts` (used by tick_sim and by tests).
+  void sample_now(double ts);
 
   const std::vector<SamplerColumn>& columns() const noexcept { return columns_; }
   const std::vector<SampleRow>& rows() const noexcept { return rows_; }
@@ -116,9 +111,6 @@ class Sampler {
   std::uint64_t dropped_ = 0;
   double next_due_ = 0.0;   ///< first uncrossed sim boundary
   bool sim_started_ = false;
-  double wall_epoch_ = 0.0;
-  double wall_last_ = 0.0;
-  bool wall_started_ = false;
 };
 
 }  // namespace gpumip::obs

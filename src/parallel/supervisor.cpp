@@ -404,6 +404,8 @@ SupervisorResult run_supervised(const mip::MipModel& model,
     out.result.bound = out.result.objective;
     out.result.x = incumbent_x;
   }
+  // Ramp-up nodes plus every worker's (the ramp-up count is 0 on resume).
+  out.result.stats.nodes_evaluated = ramp_result.stats.nodes_evaluated;
   for (long n : out.worker_nodes) out.result.stats.nodes_evaluated += n;
   return out;
 }

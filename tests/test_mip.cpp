@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "mip/cuts.hpp"
 #include "mip/solver.hpp"
 #include "problems/generators.hpp"
 
@@ -132,7 +133,6 @@ TEST(Bnb, NodeLimitReported) {
 // enumeration across random instances, with every option combination.
 struct EngineConfig {
   NodeSelection selection;
-  BranchRule rule;
   bool cuts;
   bool heuristics;
 };
@@ -153,26 +153,22 @@ TEST_P(BnbMatchesEnumeration, RandomSmallMips) {
   ASSERT_EQ(exact.status, MipStatus::Optimal);
 
   static const EngineConfig kConfigs[] = {
-      {NodeSelection::BestFirst, BranchRule::MostFractional, false, false},
-      {NodeSelection::DepthFirst, BranchRule::MostFractional, false, true},
-      {NodeSelection::GpuLocality, BranchRule::MostFractional, false, false},
-      {NodeSelection::BestFirst, BranchRule::Pseudocost, false, false},
-      {NodeSelection::BestFirst, BranchRule::Strong, false, false},
-      {NodeSelection::BestFirst, BranchRule::MostFractional, true, true},
-      {NodeSelection::GpuLocality, BranchRule::Pseudocost, true, true},
+      {NodeSelection::BestFirst, false, false},
+      {NodeSelection::DepthFirst, false, true},
+      {NodeSelection::GpuLocality, false, false},
+      {NodeSelection::BestFirst, true, true},
+      {NodeSelection::GpuLocality, true, true},
   };
   for (const auto& ec : kConfigs) {
     MipOptions opts;
     opts.node_selection = ec.selection;
-    opts.branching = ec.rule;
     opts.enable_cuts = ec.cuts;
     opts.enable_heuristics = ec.heuristics;
     MipResult r = solve(m, opts);
-    ASSERT_EQ(r.status, MipStatus::Optimal)
-        << node_selection_name(ec.selection) << "/" << branch_rule_name(ec.rule);
+    ASSERT_EQ(r.status, MipStatus::Optimal) << node_selection_name(ec.selection);
     EXPECT_NEAR(r.objective, exact.objective, 1e-6)
-        << node_selection_name(ec.selection) << "/" << branch_rule_name(ec.rule)
-        << " cuts=" << ec.cuts << " heur=" << ec.heuristics;
+        << node_selection_name(ec.selection) << " cuts=" << ec.cuts
+        << " heur=" << ec.heuristics;
     EXPECT_TRUE(m.is_integral(r.x));
     EXPECT_TRUE(m.is_feasible(r.x));
   }

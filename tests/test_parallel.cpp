@@ -294,6 +294,33 @@ TEST(Supervisor, SolvedEntirelyInRampUp) {
   EXPECT_EQ(r.subproblems_dispatched, 0);
 }
 
+TEST(Supervisor, NodesEvaluatedCountsRampUpAndWorkerNodes) {
+  mip::MipModel m = test_mip(66, 12, 22);
+  SupervisorOptions opts;
+  opts.workers = 3;
+  opts.worker_node_budget = 10;
+  opts.ramp_up_nodes = 8;
+  opts.mip.enable_cuts = false;
+  SupervisorResult r = solve_supervised(m, opts);
+  ASSERT_EQ(r.result.status, mip::MipStatus::Optimal);
+  ASSERT_GT(r.subproblems_dispatched, 0) << "fixture too small: ramp-up solved everything";
+  long worker_total = 0;
+  for (long nodes : r.worker_nodes) worker_total += nodes;
+  // The ramp-up stopped at its budget, so it evaluated exactly ramp_up_nodes.
+  EXPECT_EQ(r.result.stats.nodes_evaluated, opts.ramp_up_nodes + worker_total);
+
+  // A resumed run has no ramp-up solve: only the workers' nodes count.
+  mip::MipOptions partial = opts.mip;
+  partial.max_nodes = 4;
+  mip::BnbSolver seq(m, partial);
+  ASSERT_EQ(seq.solve().status, mip::MipStatus::NodeLimit);
+  SupervisorResult resumed = resume_supervised(m, seq.capture_snapshot(), opts);
+  long resumed_total = 0;
+  for (long nodes : resumed.worker_nodes) resumed_total += nodes;
+  ASSERT_GT(resumed_total, 0);
+  EXPECT_EQ(resumed.result.stats.nodes_evaluated, resumed_total);
+}
+
 TEST(Supervisor, LoadIsDistributed) {
   mip::MipModel m = test_mip(55, 14, 26);
   SupervisorOptions opts;

@@ -232,8 +232,8 @@ TEST(ReportTimeSeries, SamplerExportRoundTrips) {
   options.columns = {"gpumip.test_report.rt.c"};
   obs::Sampler sampler(options);
   obs::counter("gpumip.test_report.rt.c").add(4);
-  sampler.sample_now(1.0, true);
-  sampler.sample_now(2.0, true);
+  sampler.sample_now(1.0);
+  sampler.sample_now(2.0);
 
   TimeSeries series;
   std::string error;

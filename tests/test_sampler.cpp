@@ -43,7 +43,6 @@ TEST(SamplerTicks, RowsAppearOnlyAtPeriodBoundaries) {
   sampler.tick_sim(1.25);
   ASSERT_EQ(sampler.rows().size(), 1u);
   EXPECT_DOUBLE_EQ(sampler.rows()[0].ts, 1.0);  // stamped at the boundary
-  EXPECT_TRUE(sampler.rows()[0].sim_time);
   EXPECT_DOUBLE_EQ(sampler.rows()[0].values[0], 3.0);
 
   // A tick that crosses several boundaries coalesces into ONE row stamped
@@ -76,7 +75,7 @@ TEST(SamplerColumns, KindsResolveAndDeltasVsLevels) {
   obs::gauge("test.sampler.kinds.g").set(7.5);
   obs::histogram("test.sampler.kinds.h").record(3.0);
   obs::histogram("test.sampler.kinds.h").record(5.0);
-  sampler.sample_now(1.0, true);
+  sampler.sample_now(1.0);
 
   const auto& row = sampler.rows().at(0);
   EXPECT_DOUBLE_EQ(row.values[0], 5.0);  // counter: delta since baseline
@@ -85,7 +84,7 @@ TEST(SamplerColumns, KindsResolveAndDeltasVsLevels) {
   EXPECT_DOUBLE_EQ(row.values[3], 8.0);  // hist sum delta
 
   // Nothing changed: the next row is all zeros except the gauge level.
-  sampler.sample_now(2.0, true);
+  sampler.sample_now(2.0);
   const auto& row2 = sampler.rows().at(1);
   EXPECT_DOUBLE_EQ(row2.values[0], 0.0);
   EXPECT_DOUBLE_EQ(row2.values[1], 7.5);
@@ -94,7 +93,7 @@ TEST(SamplerColumns, KindsResolveAndDeltasVsLevels) {
 
 TEST(SamplerColumns, MissingInstrumentsReadZeroAndAreNotCreated) {
   Sampler sampler(explicit_columns({"test.sampler.phantom.never"}));
-  sampler.sample_now(1.0, true);
+  sampler.sample_now(1.0);
   EXPECT_DOUBLE_EQ(sampler.rows().at(0).values.at(0), 0.0);
   // Probing must not have registered a phantom instrument.
   EXPECT_EQ(obs::Registry::instance().find_counter("test.sampler.phantom.never"), nullptr);
@@ -104,7 +103,7 @@ TEST(SamplerLimits, RowsBeyondMaxSamplesAreDroppedAndCounted) {
   SamplerOptions options = explicit_columns({"test.sampler.limit.c"});
   options.max_samples = 2;
   Sampler sampler(options);
-  for (int i = 0; i < 5; ++i) sampler.sample_now(static_cast<double>(i), true);
+  for (int i = 0; i < 5; ++i) sampler.sample_now(static_cast<double>(i));
   EXPECT_EQ(sampler.rows().size(), 2u);
   EXPECT_EQ(sampler.dropped(), 3u);
 }
@@ -119,8 +118,7 @@ TEST(SamplerJson, SchemaColumnsAndRows) {
   obs::counter("test.sampler.json.c").reset();
   Sampler sampler(explicit_columns({"test.sampler.json.c"}));
   obs::counter("test.sampler.json.c").add(2);
-  sampler.sample_now(0.5, true);
-  sampler.tick_wall();
+  sampler.sample_now(0.5);
 
   const std::string json = sampler.to_json();
   EXPECT_NE(json.find("\"schema\": \"gpumip.timeseries.v1\""), std::string::npos);
@@ -218,7 +216,6 @@ TEST(SamplerReplay, SupervisedRowsAreBitIdenticalUnderScheduleReplay) {
       // Bit-identical, not approximately equal: memcmp on the doubles.
       EXPECT_EQ(std::memcmp(&a.ts, &b.ts, sizeof(double)), 0)
           << "seed " << seed << " row " << i << ": " << a.ts << " vs " << b.ts;
-      EXPECT_TRUE(a.sim_time);
       ASSERT_EQ(a.values.size(), b.values.size());
       for (std::size_t j = 0; j < a.values.size(); ++j) {
         EXPECT_EQ(std::memcmp(&a.values[j], &b.values[j], sizeof(double)), 0)

@@ -1,5 +1,5 @@
-// Direct tests of the node pool's selection policies, logging, and
-// device-BLAS corners not covered by the higher-level suites.
+// Direct tests of the node pool's selection policies, the branching rule,
+// logging, and device-BLAS corners not covered by the higher-level suites.
 #include <gtest/gtest.h>
 
 #include "linalg/blas.hpp"
@@ -44,25 +44,30 @@ TEST(NodePool, DepthFirstPopsLifo) {
 }
 
 TEST(NodePool, GpuLocalityPrefersChildrenOfLastNode) {
-  mip::NodePool pool(mip::NodeSelection::GpuLocality, /*locality_slack=*/0.5);
+  mip::NodePool pool(mip::NodeSelection::GpuLocality);
   const int root = pool.push(make_node(-1, 0.0));
   EXPECT_EQ(pool.pop(-1, 1e300), root);
   pool.set_state(root, mip::NodeState::Branched);
-  pool.push(make_node(-1, 0.05));           // unrelated, slightly better bound
-  const int child = pool.push(make_node(root, 0.3));
+  pool.push(make_node(-1, 0.0));  // unrelated, better bound
+  const int child = pool.push(make_node(root, 0.5 * mip::kLocalitySlack));
   // The child of the just-evaluated node wins despite its worse bound
-  // (within the slack).
+  // (within the slack: best bound 0 gives an absolute slack of kLocalitySlack).
   EXPECT_EQ(pool.pop(root, 1e300), child);
 }
 
 TEST(NodePool, GpuLocalityFallsBackToBestFirst) {
-  mip::NodePool pool(mip::NodeSelection::GpuLocality, 0.01);
-  pool.push(make_node(-1, 0.0));
+  mip::NodePool pool(mip::NodeSelection::GpuLocality);
+  const int root = pool.push(make_node(-1, 0.0));
+  EXPECT_EQ(pool.pop(-1, 1e300), root);
+  pool.set_state(root, mip::NodeState::Branched);
   pool.push(make_node(-1, 100.0));
-  const int best = pool.push(make_node(-1, -5.0));
+  const int best = pool.push(make_node(-1, 0.0));
+  const int far_child = pool.push(make_node(root, 2.0 * mip::kLocalitySlack));
+  // The only child of `root` lies beyond the slack: best-first wins.
+  EXPECT_EQ(pool.pop(root, 1e300), best);
   // No active node is a child of `last`: locality finds nothing to reuse and
-  // must fall back to plain best-first selection.
-  EXPECT_EQ(pool.pop(/*last=*/99, 1e300), best);
+  // falls back to plain best-first selection.
+  EXPECT_EQ(pool.pop(/*last=*/99, 1e300), far_child);
 }
 
 TEST(NodePool, PruneWorseThanRetagsAndCounts) {
@@ -100,7 +105,40 @@ TEST(NodePool, RenderHandlesEmptyAndTruncation) {
 TEST(NodePool, NamesForEnums) {
   EXPECT_STREQ(mip::node_state_name(mip::NodeState::PrunedLeaf), "pruned");
   EXPECT_STREQ(mip::node_selection_name(mip::NodeSelection::GpuLocality), "gpu-locality");
-  EXPECT_STREQ(mip::branch_rule_name(mip::BranchRule::Pseudocost), "pseudocost");
+}
+
+TEST(Branching, MostFractionalTiesGoToLowestIndex) {
+  // Columns 1 and 3 tie at distance 0.5; column 2 is continuous.
+  const std::vector<bool> integer = {true, true, false, true};
+  EXPECT_EQ(mip::most_fractional(std::vector<double>{0.25, 1.5, 2.5, 3.5}, integer, 1e-6), 1);
+  // Flags shorter than x: trailing entries (slacks) are never candidates.
+  EXPECT_EQ(mip::most_fractional(std::vector<double>{0.1, 0.2, 0.5, 0.3, 0.5}, integer, 1e-6), 3);
+}
+
+TEST(Branching, MostFractionalIgnoresValuesWithinTolerance) {
+  const std::vector<bool> integer = {true, true};
+  // 1 + 1e-7 is integral under a 1e-6 tolerance; 1.3 is not.
+  EXPECT_EQ(mip::most_fractional(std::vector<double>{1.0 + 1e-7, 1.3}, integer, 1e-6), 1);
+  // Only values strictly more than int_tol from an integer count.
+  EXPECT_EQ(mip::most_fractional(std::vector<double>{2.0 - 1e-7, 3.0 + 1e-7}, integer, 1e-6), -1);
+  EXPECT_EQ(mip::most_fractional(std::vector<double>{0.25, 0.5}, integer, 0.25), 1);
+  EXPECT_EQ(mip::most_fractional(std::vector<double>{0.25, 4.0}, integer, 0.25), -1);
+}
+
+TEST(Branching, MostFractionalReturnsMinusOneOnIntegralPoint) {
+  const std::vector<bool> integer = {true, false, true};
+  // The continuous column's fractional value does not count.
+  EXPECT_EQ(mip::most_fractional(std::vector<double>{3.0, 0.5, -2.0}, integer, 1e-6), -1);
+  EXPECT_EQ(mip::most_fractional(std::vector<double>{}, integer, 1e-6), -1);
+}
+
+TEST(Branching, MostFractionalHandlesNegativeValues) {
+  const std::vector<bool> integer = {true, true, true};
+  // -2.5 and 1.5 are both 0.5 from an integer: a tie, lowest index wins.
+  EXPECT_EQ(mip::most_fractional(std::vector<double>{-2.5, 1.5, 0.0}, integer, 1e-6), 0);
+  EXPECT_EQ(mip::most_fractional(std::vector<double>{1.5, -2.5, 0.0}, integer, 1e-6), 0);
+  // -0.75 is 0.25 from -1, so -3.6 (0.4 from -4) is more fractional.
+  EXPECT_EQ(mip::most_fractional(std::vector<double>{-0.75, -3.6, 0.2}, integer, 1e-6), 1);
 }
 
 TEST(Log, DisabledLevelSkipsEvaluation) {
